@@ -27,8 +27,11 @@ double MeasureReads(Table& table, uint64_t rows, int iters) {
 
 }  // namespace
 
-int main() {
-  PrintHeader("Ablation: cumulative vs non-cumulative updates (Section 3.1)",
+int main(int argc, char** argv) {
+  // Fixed sizes: only the shared flags' reporting applies here.
+  BenchArgs args = BenchArgs::ParseOrDie(argc, argv);
+  PrintHeader(args,
+              "Ablation: cumulative vs non-cumulative updates (Section 3.1)",
               "cumulation trades write-side copying for shorter read chains; "
               "reads win, writes pay slightly");
 
@@ -79,10 +82,14 @@ int main() {
     double read_us = MeasureReads(table, kRows, 2000);
     uint64_t hops = table.stats().tail_chain_hops.load() - hops_before;
 
-    std::printf("%-18s %18.2f %20.0f %14.2f\n",
-                cumulative ? "cumulative" : "non-cumulative", read_us,
-                upd_per_s, hops / 2000.0);
+    const char* mode = cumulative ? "cumulative" : "non-cumulative";
+    std::printf("%-18s %18.2f %20.0f %14.2f\n", mode, read_us, upd_per_s,
+                hops / 2000.0);
     std::fflush(stdout);
+    std::string cell = mode;
+    EmitMetric("ablation_cumulation", cell + ".read", read_us, "us");
+    EmitMetric("ablation_cumulation", cell + ".update", upd_per_s, "ops/s");
+    EmitMetric("ablation_cumulation", cell + ".hops", hops / 2000.0, "hops");
   }
   return 0;
 }

@@ -5,68 +5,21 @@
 // rises, for the same reason as Figure 7(c): the baselines serialize
 // on hot pages / frequent drains, while L-Store appends.
 
-#include "bench_common.h"
-#include "common/random.h"
+#include <cstdio>
+#include <string>
+
+#include "engines.h"
 
 using namespace lstore::bench;
-using lstore::ZipfianGenerator;
 
-namespace {
-
-// Skewed variant of the short update transaction driver.
-double RunSkewed(Engine& engine, const WorkloadConfig& cfg, double theta,
-                 uint32_t threads, uint64_t duration_ms) {
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> committed{0};
-  std::vector<std::thread> workers;
-  for (uint32_t t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      lstore::Random rng(11 + t);
-      ZipfianGenerator zipf(cfg.active_set, theta, 101 + t);
-      WorkloadConfig local = cfg;
-      while (!stop.load(std::memory_order_relaxed)) {
-        // Route key choice through the Zipfian generator by mapping a
-        // uniform workload onto a skewed one: use a one-key active set
-        // positioned at the Zipf draw. (Engine::UpdateTxn draws
-        // uniformly in [0, active_set); with active_set=1 the offset
-        // is the drawn key.)
-        (void)rng;
-        local.active_set = cfg.active_set;
-        if (engine.UpdateTxn(rng, local)) {
-          committed.fetch_add(1, std::memory_order_relaxed);
-        }
-        // Note: the uniform driver already exercises contention; the
-        // Zipf draw below biases an extra hot-key transaction.
-        uint64_t hot = zipf.Next();
-        WorkloadConfig hot_cfg = cfg;
-        hot_cfg.active_set = hot + 1;  // keys [0, hot]: skew toward head
-        if (engine.UpdateTxn(rng, hot_cfg)) {
-          committed.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  auto start = std::chrono::steady_clock::now();
-  std::this_thread::sleep_for(std::chrono::milliseconds(duration_ms));
-  stop.store(true);
-  for (auto& th : workers) th.join();
-  double secs = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              start)
-                    .count();
-  return committed.load() / secs;
-}
-
-}  // namespace
-
-int main() {
-  PrintHeader("Ablation: Zipfian write skew",
+int main(int argc, char** argv) {
+  BenchArgs args = BenchArgs::ParseOrDie(argc, argv);
+  PrintHeader(args, "Ablation: Zipfian write skew",
               "L-Store's lead over IUH/DBM persists or grows with skew "
               "(append-only updates vs page latches / drains)");
 
-  WorkloadConfig cfg;
-  cfg.contention = Contention::kMedium;
-  cfg.Finalize();
-  uint32_t threads = std::min(4u, EnvMaxThreads());
+  const uint64_t active = ActiveSet(args.rows, Contention::kMedium);
+  const uint32_t threads = std::min(4u, MaxThreads(args));
   const double thetas[] = {0.5, 0.9, 0.99};
 
   std::printf("\n%-28s", "engine \\ zipf theta");
@@ -75,12 +28,30 @@ int main() {
   const EngineKind kinds[] = {EngineKind::kLStore, EngineKind::kIuh,
                               EngineKind::kDbm};
   for (EngineKind k : kinds) {
-    auto engine = LoadedEngine(k, cfg);
-    std::printf("%-28s", EngineName(k).c_str());
+    auto engine = LoadedEngine(k, FigureTableConfig(), args.rows);
+    std::printf("%-28s", EngineName(k));
     for (double th : thetas) {
-      double tps = RunSkewed(*engine, cfg, th, threads, cfg.duration_ms);
-      std::printf(" %9.1f", tps / 1000.0);
+      // Every other transaction is uniform over the medium-contention
+      // active set; the rest draw keys from [0, z] for a Zipf draw z,
+      // skewing writes toward the head of the key space.
+      WorkloadResult r = RunPoint(
+          args, threads,
+          [&](uint32_t w, const std::atomic<int>* phase, WorkerStats* out) {
+            lstore::Random rng(args.seed * 1000003ull + w);
+            lstore::ZipfianGenerator zipf(active, th, 101 + w);
+            bool hot = false;
+            ClosedLoop(kOpUpdate, phase, out, [&] {
+              hot = !hot;
+              return engine->UpdateTxn(rng, hot ? zipf.Next() + 1 : active,
+                                       kReadsPerTxn, kWritesPerTxn);
+            });
+          });
+      double ktps = OpsPerSec(r, kOpUpdate) / 1000.0;
+      std::printf(" %9.1f", ktps);
       std::fflush(stdout);
+      char cell[64];
+      std::snprintf(cell, sizeof(cell), "%s.theta%.2f", EngineTag(k), th);
+      EmitMetric("ablation_skew", cell, ktps, "Ktxn/s");
     }
     std::printf("\n");
   }

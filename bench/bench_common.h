@@ -1,10 +1,13 @@
-// Shared helpers for the per-figure/table benchmark drivers.
+// Shared helpers for the bench drivers: the flag vocabulary every
+// driver parses (BenchArgs), per-op latency capture, SLO bounds, and
+// the BENCH_ci.json sink.
 //
-// Every binary prints (a) the machine-independent configuration it
-// ran with, (b) rows mirroring the paper's figure/table, and (c) the
-// paper's qualitative expectation, so EXPERIMENTS.md can be filled in
-// by inspection. Sizes scale with LSTORE_BENCH_SCALE and durations
-// with LSTORE_BENCH_MS (see src/bench_harness/workload.h).
+// Every figure/table binary prints (a) the machine-independent
+// configuration it ran with, (b) rows mirroring the paper's
+// figure/table, and (c) the paper's qualitative expectation, so
+// EXPERIMENTS.md can be filled in by inspection. Flag defaults come
+// from LSTORE_BENCH_SCALE (rows), LSTORE_BENCH_MS (measured ms per
+// point) and LSTORE_BENCH_THREADS (thread cap).
 
 #ifndef LSTORE_BENCH_BENCH_COMMON_H_
 #define LSTORE_BENCH_BENCH_COMMON_H_
@@ -23,9 +26,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_harness/engines.h"
-#include "bench_harness/runner.h"
-#include "bench_harness/workload.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "obs/metrics.h"
@@ -33,27 +33,19 @@
 namespace lstore {
 namespace bench {
 
-inline void PrintHeader(const char* experiment, const char* paper_claim) {
-  std::printf("==============================================================\n");
-  std::printf("%s\n", experiment);
-  std::printf("Paper expectation: %s\n", paper_claim);
-  std::printf("scale=%llu rows (low contention), duration=%llu ms/point, "
-              "max threads=%u\n",
-              static_cast<unsigned long long>(EnvScale()),
-              static_cast<unsigned long long>(EnvDurationMs()),
-              EnvMaxThreads());
-  std::printf("==============================================================\n");
+/// Unsigned environment knob; `def` when unset or unparsable.
+inline uint64_t EnvU64(const char* name, uint64_t def) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return def;
+  char* end = nullptr;
+  unsigned long long parsed = std::strtoull(v, &end, 10);
+  return end == v ? def : static_cast<uint64_t>(parsed);
 }
 
-/// Thread counts for scalability sweeps, bounded by the env cap.
-inline std::vector<uint32_t> ThreadPoints() {
-  uint32_t cap = EnvMaxThreads();
-  std::vector<uint32_t> pts;
-  for (uint32_t t : {1u, 2u, 4u, 8u, 16u, 22u}) {
-    if (t <= cap) pts.push_back(t);
-  }
-  if (pts.empty()) pts.push_back(1);
-  return pts;
+inline uint64_t EnvScale() { return EnvU64("LSTORE_BENCH_SCALE", 100000); }
+inline uint64_t EnvDurationMs() { return EnvU64("LSTORE_BENCH_MS", 300); }
+inline uint32_t EnvMaxThreads() {
+  return static_cast<uint32_t>(EnvU64("LSTORE_BENCH_THREADS", 8));
 }
 
 /// Append one metric row (JSON lines) to the file named by the
@@ -137,14 +129,6 @@ inline uint64_t DirBytes(const std::string& dir, const std::string& suffix) {
     }
   }
   return total;
-}
-
-/// Build + load an engine for a workload.
-inline std::unique_ptr<Engine> LoadedEngine(EngineKind kind,
-                                            const WorkloadConfig& cfg) {
-  auto engine = MakeEngine(kind, cfg);
-  engine->Load(cfg.table_rows);
-  return engine;
 }
 
 // ===========================================================================
@@ -537,6 +521,39 @@ struct BenchArgs {
     return args;
   }
 };
+
+/// Largest thread count of --threads: the cap of a figure's sweep
+/// (1 before Parse has filled the list).
+inline uint32_t MaxThreads(const BenchArgs& args) {
+  if (args.threads.empty()) return 1;
+  return *std::max_element(args.threads.begin(), args.threads.end());
+}
+
+/// Thread counts of a scalability sweep: a --threads list as given, or
+/// for a single value N (the default is LSTORE_BENCH_THREADS) the
+/// points 1, 2, 4, 8, 16, 22 up to N.
+inline std::vector<uint32_t> ThreadPoints(const BenchArgs& args) {
+  if (args.threads.size() > 1) return args.threads;
+  std::vector<uint32_t> pts;
+  for (uint32_t t : {1u, 2u, 4u, 8u, 16u, 22u}) {
+    if (t <= MaxThreads(args)) pts.push_back(t);
+  }
+  if (pts.empty()) pts.push_back(1);
+  return pts;
+}
+
+inline void PrintHeader(const BenchArgs& args, const char* experiment,
+                        const char* paper_claim) {
+  std::printf("==============================================================\n");
+  std::printf("%s\n", experiment);
+  std::printf("Paper expectation: %s\n", paper_claim);
+  std::printf("scale=%llu rows (low contention), duration=%llu ms/point, "
+              "max threads=%u\n",
+              static_cast<unsigned long long>(args.rows),
+              static_cast<unsigned long long>(args.duration_ms),
+              MaxThreads(args));
+  std::printf("==============================================================\n");
+}
 
 }  // namespace bench
 }  // namespace lstore

@@ -8,21 +8,24 @@
 // DBM by up to 1.97x/2.37x on long reads; its contention-free merge
 // is what keeps OLAP from stalling OLTP.
 
-#include "bench_common.h"
+#include <string>
+
+#include "engines.h"
 
 using namespace lstore::bench;
 
-int main() {
-  PrintHeader("Figure 10: short updates vs long read-only transactions",
+int main(int argc, char** argv) {
+  BenchArgs args = BenchArgs::ParseOrDie(argc, argv);
+  PrintHeader(args, "Figure 10: short updates vs long read-only transactions",
               "L-Store leads on both sides of the mix; DBM loses on reads "
               "(blocking merges), IUH on updates (page latches)");
 
   const Contention levels[] = {Contention::kLow, Contention::kMedium};
   const EngineKind kinds[] = {EngineKind::kLStore, EngineKind::kIuh,
                               EngineKind::kDbm};
-  uint32_t cap = EnvMaxThreads();
+  const uint32_t cap = MaxThreads(args);
   // Total concurrent txns scaled to the machine (paper used 17).
-  uint32_t total = cap >= 17 ? 17 : (cap < 2 ? 2 : cap);
+  const uint32_t total = cap >= 17 ? 17 : (cap < 2 ? 2 : cap);
   std::vector<uint32_t> scan_counts;
   for (uint32_t s : {1u, total / 4, total / 2, 3 * total / 4, total - 1}) {
     if (s >= 1 && s < total &&
@@ -32,22 +35,24 @@ int main() {
   }
 
   for (Contention c : levels) {
-    WorkloadConfig cfg;
-    cfg.contention = c;
-    cfg.Finalize();
+    const uint64_t active = ActiveSet(args.rows, c);
     std::printf("\n--- Fig 10 (%s contention, %u concurrent txns) ---\n",
-                ContentionName(c).c_str(), total);
+                ContentionName(c), total);
     std::printf("%-28s %12s %14s %14s\n", "engine", "readers",
                 "upd K txns/s", "reads/s");
     for (EngineKind k : kinds) {
-      auto engine = LoadedEngine(k, cfg);
+      auto engine = LoadedEngine(k, FigureTableConfig(), args.rows);
       for (uint32_t scans : scan_counts) {
-        uint32_t updaters = total - scans;
-        RunResult res = RunMixed(*engine, cfg, updaters, scans);
-        std::printf("%-28s %12u %14.1f %14.1f\n", EngineName(k).c_str(),
-                    scans, res.update_txns_per_sec / 1000.0,
-                    res.read_txns_per_sec);
+        WorkloadResult r = RunMix(args, *engine, active, total - scans, scans);
+        double ktps = OpsPerSec(r, kOpUpdate) / 1000.0;
+        double reads = OpsPerSec(r, kOpScan);
+        std::printf("%-28s %12u %14.1f %14.1f\n", EngineName(k), scans, ktps,
+                    reads);
         std::fflush(stdout);
+        std::string cell = std::string(ContentionName(c)) + "." +
+                           EngineTag(k) + ".s" + std::to_string(scans);
+        EmitMetric("fig10_mixed", cell + ".update", ktps, "Ktxn/s");
+        EmitMetric("fig10_mixed", cell + ".scan", reads, "txn/s");
       }
     }
   }

@@ -7,12 +7,15 @@
 // 4.19x/6.34x (medium) over IUH/DBM; the gap is smallest at 100%
 // reads.
 
-#include "bench_common.h"
+#include <string>
+
+#include "engines.h"
 
 using namespace lstore::bench;
 
-int main() {
-  PrintHeader("Figure 9: impact of the read/write ratio",
+int main(int argc, char** argv) {
+  BenchArgs args = BenchArgs::ParseOrDie(argc, argv);
+  PrintHeader(args, "Figure 9: impact of the read/write ratio",
               "throughput rises with read share; L-Store leads, gap narrows "
               "at 100% reads");
 
@@ -20,30 +23,32 @@ int main() {
   const EngineKind kinds[] = {EngineKind::kLStore, EngineKind::kIuh,
                               EngineKind::kDbm};
   const uint32_t read_pcts[] = {0, 20, 40, 60, 80, 100};
-  uint32_t threads = std::min(16u, EnvMaxThreads());
+  const uint32_t threads = std::min(16u, MaxThreads(args));
 
   for (Contention c : levels) {
-    WorkloadConfig base;
-    base.contention = c;
-    base.Finalize();
+    const uint64_t active = ActiveSet(args.rows, c);
     std::printf("\n--- Fig 9(%c): %s contention, %u update threads ---\n",
-                c == Contention::kLow ? 'a' : 'b',
-                ContentionName(c).c_str(), threads);
+                c == Contention::kLow ? 'a' : 'b', ContentionName(c),
+                threads);
     std::printf("%-28s", "engine \\ read %");
     for (uint32_t p : read_pcts) std::printf(" %9u", p);
     std::printf("   (K txns/s)\n");
 
     for (EngineKind k : kinds) {
-      auto engine = LoadedEngine(k, base);
-      std::printf("%-28s", EngineName(k).c_str());
+      auto engine = LoadedEngine(k, FigureTableConfig(), args.rows);
+      std::printf("%-28s", EngineName(k));
       for (uint32_t pct : read_pcts) {
-        WorkloadConfig cfg = base;
         // 10 statements per txn, `pct` percent of them reads.
-        cfg.reads_per_txn = pct / 10;
-        cfg.writes_per_txn = 10 - cfg.reads_per_txn;
-        RunResult res = RunMixed(*engine, cfg, threads, /*scan_threads=*/1);
-        std::printf(" %9.1f", res.update_txns_per_sec / 1000.0);
+        const uint32_t reads = pct / 10;
+        WorkloadResult r = RunMix(args, *engine, active, threads,
+                                  /*scanners=*/1, reads, 10 - reads);
+        double ktps = OpsPerSec(r, kOpUpdate) / 1000.0;
+        std::printf(" %9.1f", ktps);
         std::fflush(stdout);
+        EmitMetric("fig9_read_ratio",
+                   std::string(ContentionName(c)) + "." + EngineTag(k) +
+                       ".r" + std::to_string(pct),
+                   ktps, "Ktxn/s");
       }
       std::printf("\n");
     }

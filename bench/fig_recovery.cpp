@@ -62,7 +62,7 @@ void Update(Database* db, Table* t, uint64_t count, uint64_t rows,
 
 void Run(const BenchArgs& args) {
   PrintHeader(
-      "fig_recovery: checkpoint throughput + restart time vs log length",
+      args, "fig_recovery: checkpoint throughput + restart time vs log length",
       "restart cost grows with the redo-log tail; checkpoint + "
       "truncation bounds it at a sequential write");
 

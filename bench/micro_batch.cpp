@@ -64,7 +64,8 @@ int main(int argc, char** argv) {
   // Shared flag vocabulary (--rows/--seed/--batch); defaults keep the
   // historical LSTORE_BENCH_SCALE-driven sizing for flag-less runs.
   BenchArgs args = BenchArgs::ParseOrDie(argc, argv);
-  PrintHeader("Batched point ops vs looped singles + parallel scan scaling",
+  PrintHeader(args,
+              "Batched point ops vs looped singles + parallel scan scaling",
               "batching amortizes index probes, epoch pins, and log frames; "
               "partitioned snapshot scans speed up with workers");
 
@@ -194,7 +195,7 @@ int main(int argc, char** argv) {
                 "speedup");
     uint64_t expect = 0;
     double base = 0;
-    for (uint32_t workers : ThreadPoints()) {
+    for (uint32_t workers : ThreadPoints(args)) {
       uint64_t sum = 0;
       double best = 1e100;
       for (int rep = 0; rep < 3; ++rep) {

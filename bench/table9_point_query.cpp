@@ -6,19 +6,19 @@
 // columns are fetched, worst case -33% when all columns are read;
 // row stays flat (~1.45 M txns/s on their hardware).
 
-#include "bench_common.h"
+#include <string>
+
+#include "engines.h"
 
 using namespace lstore::bench;
 
-int main() {
-  PrintHeader("Table 9: point queries vs % of columns read",
+int main(int argc, char** argv) {
+  BenchArgs args = BenchArgs::ParseOrDie(argc, argv);
+  PrintHeader(args, "Table 9: point queries vs % of columns read",
               "columnar ~ row at 10-20% of columns; columnar drops ~33% in "
               "the all-columns worst case; row flat");
 
-  WorkloadConfig cfg;
-  cfg.contention = Contention::kLow;
-  cfg.Finalize();
-  uint32_t threads = std::min(4u, EnvMaxThreads());
+  const uint32_t threads = std::min(4u, MaxThreads(args));
 
   const uint32_t col_counts[] = {1, 2, 4, 8, 10};  // of 10 data columns
   std::printf("\n%-20s", "layout \\ %cols");
@@ -27,16 +27,27 @@ int main() {
 
   const EngineKind kinds[] = {EngineKind::kLStore, EngineKind::kLStoreRow};
   for (EngineKind k : kinds) {
-    auto engine = LoadedEngine(k, cfg);
+    auto engine = LoadedEngine(k, FigureTableConfig(), args.rows);
     std::printf("%-20s", k == EngineKind::kLStore ? "L-Store (Column)"
                                                   : "L-Store (Row)");
     for (uint32_t ncols : col_counts) {
       // Fetch the first `ncols` data columns (columns 1..ncols).
-      uint64_t mask = 0;
+      lstore::ColumnMask mask = 0;
       for (uint32_t c = 1; c <= ncols; ++c) mask |= 1ull << c;
-      double tps = RunPointReads(*engine, cfg, threads, /*reads=*/10, mask);
-      std::printf(" %10.1f", tps / 1000.0);
+      WorkloadResult r = RunPoint(
+          args, threads,
+          [&](uint32_t w, const std::atomic<int>* phase, WorkerStats* out) {
+            lstore::Random rng(args.seed * 1000003ull + w);
+            ClosedLoop(kOpRead, phase, out, [&] {
+              return engine->PointReadTxn(rng, args.rows, /*reads=*/10, mask);
+            });
+          });
+      double ktps = OpsPerSec(r, kOpRead) / 1000.0;
+      std::printf(" %10.1f", ktps);
       std::fflush(stdout);
+      EmitMetric("table9_point_query",
+                 std::string(EngineTag(k)) + ".c" + std::to_string(ncols * 10),
+                 ktps, "Ktxn/s");
     }
     std::printf("\n");
   }

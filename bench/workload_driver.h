@@ -41,6 +41,9 @@
 //
 // Exit code: 0, or 1 when any --slo bound is violated at any sweep
 // point (the gate CI's perf-smoke job runs).
+//
+// The paper's figure drivers run on the same sweep point (RunPoint)
+// with their own worker bodies; see engines.h.
 
 #ifndef LSTORE_BENCH_WORKLOAD_DRIVER_H_
 #define LSTORE_BENCH_WORKLOAD_DRIVER_H_

@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/chunked_records.h"
 #include "common/config.h"
 #include "common/latch.h"
 #include "common/status.h"
@@ -105,19 +106,6 @@ class DbmTable : public TxnContext {
   static constexpr uint32_t kDeltaHeader = 4;
   static constexpr uint32_t kDeltaChunk = 1024;
 
-  struct DeltaStore {
-    explicit DeltaStore(uint32_t stride) : stride(stride) {}
-    uint32_t stride;
-    std::atomic<uint64_t> next{0};
-    mutable SpinLatch grow_latch;
-    std::vector<std::unique_ptr<std::atomic<Value>[]>> chunks;
-    std::atomic<size_t> num_chunks{0};
-
-    std::atomic<Value>* Slot(uint64_t idx, uint32_t field);
-    uint64_t Reserve();
-    void Clear();
-  };
-
   struct MainRange {
     MainRange(uint32_t range_size, uint32_t ncols, uint32_t stride);
     /// Read-only main store (rewritten wholesale by merges, which run
@@ -127,7 +115,7 @@ class DbmTable : public TxnContext {
     std::vector<uint8_t> deleted;
     std::unique_ptr<std::atomic<uint64_t>[]> indirection;  // delta idx
     std::atomic<uint32_t> occupied{0};
-    DeltaStore delta;
+    ChunkedRecords delta;
     std::atomic<bool> queued{false};
   };
 

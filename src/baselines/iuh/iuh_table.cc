@@ -29,7 +29,7 @@ IuhTable::IuhTable(Schema schema, TableConfig config,
     : schema_(std::move(schema)),
       config_(config),
       ranges_(std::make_unique<std::atomic<MainRange*>[]>(kMaxRanges)),
-      hist_stride_(kHistHeader + schema_.num_columns()) {
+      hist_(kHistHeader + schema_.num_columns(), kHistChunk) {
   for (uint64_t i = 0; i < kMaxRanges; ++i) {
     ranges_[i].store(nullptr, std::memory_order_relaxed);
   }
@@ -67,40 +67,6 @@ IuhTable::MainRange* IuhTable::EnsureRange(uint64_t id) {
     }
   }
   return r;
-}
-
-std::atomic<Value>* IuhTable::HistSlot(uint64_t idx, uint32_t field) {
-  uint64_t i = idx - 1;
-  size_t chunk = i / kHistChunk;
-  size_t off = (i % kHistChunk) * hist_stride_ + field;
-  return &hist_chunks_[chunk][off];
-}
-
-const std::atomic<Value>* IuhTable::HistSlot(uint64_t idx,
-                                             uint32_t field) const {
-  uint64_t i = idx - 1;
-  size_t chunk = i / kHistChunk;
-  size_t off = (i % kHistChunk) * hist_stride_ + field;
-  return &hist_chunks_[chunk][off];
-}
-
-uint64_t IuhTable::HistReserve() {
-  uint64_t idx = hist_next_.fetch_add(1, std::memory_order_relaxed) + 1;
-  size_t need = (idx - 1) / kHistChunk + 1;
-  if (hist_num_chunks_.load(std::memory_order_acquire) < need) {
-    SpinGuard g(hist_latch_);
-    while (hist_chunks_.size() < need) {
-      auto chunk = std::make_unique<std::atomic<Value>[]>(
-          static_cast<size_t>(kHistChunk) * hist_stride_);
-      for (size_t i = 0; i < static_cast<size_t>(kHistChunk) * hist_stride_;
-           ++i) {
-        chunk[i].store(kNull, std::memory_order_relaxed);
-      }
-      hist_chunks_.push_back(std::move(chunk));
-    }
-    hist_num_chunks_.store(hist_chunks_.size(), std::memory_order_release);
-  }
-  return idx;
 }
 
 Txn IuhTable::Begin(IsolationLevel iso) {
@@ -149,11 +115,13 @@ void IuhTable::AbortTxn(Transaction* txn) {
     latch.LockExclusive();
     if (r->indirection[it->base_slot].load(std::memory_order_acquire) ==
         hist_idx) {
-      Value mask_flags = HistSlot(hist_idx, 3)->load(std::memory_order_acquire);
+      Value mask_flags =
+          hist_.Slot(hist_idx, 3)->load(std::memory_order_acquire);
       ColumnMask mask = SchemaColumns(mask_flags);
       for (BitIter b(mask); b; ++b) {
-        Value old = HistSlot(hist_idx, kHistHeader + static_cast<uint32_t>(*b))
-                        ->load(std::memory_order_acquire);
+        Value old =
+            hist_.Slot(hist_idx, kHistHeader + static_cast<uint32_t>(*b))
+                ->load(std::memory_order_acquire);
         r->data[static_cast<size_t>(it->base_slot) * ncols + *b].store(
             old, std::memory_order_release);
       }
@@ -161,10 +129,10 @@ void IuhTable::AbortTxn(Transaction* txn) {
         r->deleted[it->base_slot].store(0, std::memory_order_release);
       }
       r->start[it->base_slot].store(
-          HistSlot(hist_idx, 2)->load(std::memory_order_acquire),
+          hist_.Slot(hist_idx, 2)->load(std::memory_order_acquire),
           std::memory_order_release);
       r->indirection[it->base_slot].store(
-          HistSlot(hist_idx, 1)->load(std::memory_order_acquire),
+          hist_.Slot(hist_idx, 1)->load(std::memory_order_acquire),
           std::memory_order_release);
     }
     latch.UnlockExclusive();
@@ -261,23 +229,44 @@ Status IuhTable::ResolveUnderLatch(MainRange& r, uint32_t slot,
   uint64_t idx = r.indirection[slot].load(std::memory_order_acquire);
   Value cur_start = raw;
   while (idx != 0) {
-    Value mask_flags = HistSlot(idx, 3)->load(std::memory_order_acquire);
+    Value mask_flags = hist_.Slot(idx, 3)->load(std::memory_order_acquire);
     ColumnMask m = SchemaColumns(mask_flags) & mask;
     for (BitIter it(m); it; ++it) {
-      vals[*it] = HistSlot(idx, kHistHeader + static_cast<uint32_t>(*it))
+      vals[*it] = hist_.Slot(idx, kHistHeader + static_cast<uint32_t>(*it))
                       ->load(std::memory_order_acquire);
     }
     if (IsDeleteRecord(mask_flags)) cur_deleted = false;  // undo the delete
-    cur_start = HistSlot(idx, 2)->load(std::memory_order_acquire);
+    cur_start = hist_.Slot(idx, 2)->load(std::memory_order_acquire);
     if (cur_start != kNull && !IsTxnId(cur_start) &&
         !IsAbortedStamp(cur_start) && cur_start < as_of) {
       if (cur_deleted) return Status::NotFound("deleted");
       for (BitIter it(mask); it; ++it) (*out)[*it] = vals[*it];
       return Status::OK();
     }
-    idx = HistSlot(idx, 1)->load(std::memory_order_acquire);
+    idx = hist_.Slot(idx, 1)->load(std::memory_order_acquire);
   }
   return Status::NotFound("no visible version");
+}
+
+Status IuhTable::StableStart(MainRange& r, uint32_t slot, Transaction* txn,
+                             Value* raw) {
+  std::atomic<Value>& sref = r.start[slot];
+  *raw = sref.load(std::memory_order_acquire);
+  if (!IsTxnId(*raw) || *raw == txn->id()) return Status::OK();
+  TransactionManager::StateView view = txn_manager_->GetState(*raw);
+  if (!view.found) {
+    // Retired after our load: its outcome is stamped by now.
+    *raw = sref.load(std::memory_order_acquire);
+    return Status::OK();
+  }
+  if (view.state == TxnState::kCommitted) {
+    Value expected = *raw;
+    sref.compare_exchange_strong(expected, view.commit,
+                                 std::memory_order_acq_rel);
+    *raw = view.commit;
+    return Status::OK();
+  }
+  return Status::Aborted("write-write conflict");
 }
 
 Status IuhTable::Update(Transaction* txn, Value key, ColumnMask mask,
@@ -295,14 +284,11 @@ Status IuhTable::Update(Transaction* txn, Value key, ColumnMask mask,
   RWSpinLatch& latch = PageLatch(*r, slot);
   latch.LockExclusive();
 
-  Value raw = r->start[slot].load(std::memory_order_acquire);
-  if (IsTxnId(raw) && raw != txn->id()) {
-    TransactionManager::StateView view = txn_manager_->GetState(raw);
-    if (view.found && (view.state == TxnState::kActive ||
-                       view.state == TxnState::kPreCommit)) {
-      latch.UnlockExclusive();
-      return Status::Aborted("write-write conflict");
-    }
+  Value raw = 0;
+  Status claim = StableStart(*r, slot, txn, &raw);
+  if (!claim.ok()) {
+    latch.UnlockExclusive();
+    return claim;
   }
   if (r->deleted[slot].load(std::memory_order_acquire) != 0) {
     latch.UnlockExclusive();
@@ -310,15 +296,15 @@ Status IuhTable::Update(Transaction* txn, Value key, ColumnMask mask,
   }
 
   // Append the pre-image to the history, then update in place.
-  uint64_t hist_idx = HistReserve();
-  HistSlot(hist_idx, 0)->store(rid, std::memory_order_relaxed);
-  HistSlot(hist_idx, 1)->store(
+  uint64_t hist_idx = hist_.Reserve();
+  hist_.Slot(hist_idx, 0)->store(rid, std::memory_order_relaxed);
+  hist_.Slot(hist_idx, 1)->store(
       r->indirection[slot].load(std::memory_order_acquire),
       std::memory_order_relaxed);
-  HistSlot(hist_idx, 2)->store(raw, std::memory_order_relaxed);
-  HistSlot(hist_idx, 3)->store(mask, std::memory_order_release);
+  hist_.Slot(hist_idx, 2)->store(raw, std::memory_order_relaxed);
+  hist_.Slot(hist_idx, 3)->store(mask, std::memory_order_release);
   for (BitIter it(mask); it; ++it) {
-    HistSlot(hist_idx, kHistHeader + static_cast<uint32_t>(*it))
+    hist_.Slot(hist_idx, kHistHeader + static_cast<uint32_t>(*it))
         ->store(r->data[static_cast<size_t>(slot) * ncols + *it].load(
                     std::memory_order_acquire),
                 std::memory_order_relaxed);
@@ -345,26 +331,23 @@ Status IuhTable::Delete(Transaction* txn, Value key) {
 
   RWSpinLatch& latch = PageLatch(*r, slot);
   latch.LockExclusive();
-  Value raw = r->start[slot].load(std::memory_order_acquire);
-  if (IsTxnId(raw) && raw != txn->id()) {
-    TransactionManager::StateView view = txn_manager_->GetState(raw);
-    if (view.found && (view.state == TxnState::kActive ||
-                       view.state == TxnState::kPreCommit)) {
-      latch.UnlockExclusive();
-      return Status::Aborted("write-write conflict");
-    }
+  Value raw = 0;
+  Status claim = StableStart(*r, slot, txn, &raw);
+  if (!claim.ok()) {
+    latch.UnlockExclusive();
+    return claim;
   }
   if (r->deleted[slot].load(std::memory_order_acquire) != 0) {
     latch.UnlockExclusive();
     return Status::NotFound("already deleted");
   }
-  uint64_t hist_idx = HistReserve();
-  HistSlot(hist_idx, 0)->store(rid, std::memory_order_relaxed);
-  HistSlot(hist_idx, 1)->store(
+  uint64_t hist_idx = hist_.Reserve();
+  hist_.Slot(hist_idx, 0)->store(rid, std::memory_order_relaxed);
+  hist_.Slot(hist_idx, 1)->store(
       r->indirection[slot].load(std::memory_order_acquire),
       std::memory_order_relaxed);
-  HistSlot(hist_idx, 2)->store(raw, std::memory_order_relaxed);
-  HistSlot(hist_idx, 3)->store(kDeleteFlag, std::memory_order_release);
+  hist_.Slot(hist_idx, 2)->store(raw, std::memory_order_relaxed);
+  hist_.Slot(hist_idx, 3)->store(kDeleteFlag, std::memory_order_release);
   r->indirection[slot].store(hist_idx, std::memory_order_release);
   r->deleted[slot].store(1, std::memory_order_release);
   r->start[slot].store(txn->id(), std::memory_order_release);

@@ -20,6 +20,7 @@
 #include <memory>
 #include <vector>
 
+#include "baselines/chunked_records.h"
 #include "common/config.h"
 #include "common/latch.h"
 #include "common/status.h"
@@ -69,9 +70,7 @@ class IuhTable : public TxnContext {
   uint64_t num_rows() const { return next_row_.load(std::memory_order_acquire); }
 
   /// History entries appended so far (tests/stats).
-  uint64_t history_size() const {
-    return hist_next_.load(std::memory_order_acquire);
-  }
+  uint64_t history_size() const { return hist_.size(); }
 
  private:
   // Session plumbing (TxnContext) + transaction-pointer cores.
@@ -110,12 +109,16 @@ class IuhTable : public TxnContext {
     return r.page_latches[slot / config_.base_page_slots];
   }
 
-  std::atomic<Value>* HistSlot(uint64_t idx, uint32_t field);
-  const std::atomic<Value>* HistSlot(uint64_t idx, uint32_t field) const;
-  uint64_t HistReserve();
-
   bool VisibleRaw(std::atomic<Value>* sref, Value& raw, Timestamp as_of,
                   Transaction* txn) const;
+  /// Under the exclusive page latch: the start time the next
+  /// pre-image records. A committed writer's id is stamped first, so
+  /// an undo can never restore an id whose transaction has since
+  /// retired (readers would wait on it forever). A writer still in
+  /// flight, or an aborted one whose undo has not run, is a
+  /// write-write conflict.
+  Status StableStart(MainRange& r, uint32_t slot, Transaction* txn,
+                     Value* raw);
   /// Resolve (possibly via history) the visible value of columns.
   Status ResolveUnderLatch(MainRange& r, uint32_t slot, Timestamp as_of,
                            Transaction* txn, ColumnMask mask,
@@ -135,11 +138,7 @@ class IuhTable : public TxnContext {
 
   // History table (global, append-only; reduced read locality is part
   // of the baseline's cost profile, Section 6.2).
-  uint32_t hist_stride_;
-  mutable SpinLatch hist_latch_;
-  std::vector<std::unique_ptr<std::atomic<Value>[]>> hist_chunks_;
-  std::atomic<size_t> hist_num_chunks_{0};
-  std::atomic<uint64_t> hist_next_{0};
+  ChunkedRecords hist_;
 };
 
 }  // namespace lstore

@@ -144,8 +144,8 @@ Status Query::Execute(ColumnId agg_col, const RowFn* visit, uint64_t* sum,
                       : 0;
     uint32_t se = static_cast<uint32_t>(
         std::min<uint64_t>(rsz, end - range_first));
-    ScanPartition(range_id, sb, se, needed, as_of, agg_col, visit, psum,
-                  prows);
+    return ScanPartition(range_id, sb, se, needed, as_of, agg_col, visit,
+                         psum, prows);
   };
 
   // Resolve the worker count WITHOUT touching the shared pool: a
@@ -159,7 +159,7 @@ Status Query::Execute(ColumnId agg_col, const RowFn* visit, uint64_t* sum,
     EpochGuard guard(table_->epochs_);
     uint64_t lsum = AggIdentity(), lrows = 0;
     for (uint64_t rid = r_begin; rid < r_end; ++rid) {
-      scan_range(rid, &lsum, &lrows);
+      LSTORE_RETURN_IF_ERROR(scan_range(rid, &lsum, &lrows));
     }
     if (sum != nullptr) MergeAccumulator(sum, lsum);
     if (rows != nullptr) *rows += lrows;
@@ -178,6 +178,7 @@ Status Query::Execute(ColumnId agg_col, const RowFn* visit, uint64_t* sum,
   uint64_t chunk = std::max<uint64_t>(1, nparts / (uint64_t{workers} * 4));
   uint64_t ntasks = (nparts + chunk - 1) / chunk;
   std::mutex fold_mu;
+  Status failed = Status::OK();  // first partition failure, under fold_mu
   pool.ParallelFor(ntasks, workers, [&](uint64_t task) {
     // Per-partition-task latency: the distribution's spread under a
     // concurrent merge is the paper's contention claim, per partition.
@@ -186,16 +187,16 @@ Status Query::Execute(ColumnId agg_col, const RowFn* visit, uint64_t* sum,
     uint64_t lsum = AggIdentity(), lrows = 0;
     uint64_t t_begin = r_begin + task * chunk;
     uint64_t t_end = std::min(r_end, t_begin + chunk);
-    for (uint64_t rid = t_begin; rid < t_end; ++rid) {
-      scan_range(rid, &lsum, &lrows);
+    Status s;
+    for (uint64_t rid = t_begin; rid < t_end && s.ok(); ++rid) {
+      s = scan_range(rid, &lsum, &lrows);
     }
-    if (sum != nullptr || rows != nullptr) {
-      std::lock_guard<std::mutex> g(fold_mu);
-      if (sum != nullptr) MergeAccumulator(sum, lsum);
-      if (rows != nullptr) *rows += lrows;
-    }
+    std::lock_guard<std::mutex> g(fold_mu);
+    if (!s.ok() && failed.ok()) failed = s;
+    if (sum != nullptr) MergeAccumulator(sum, lsum);
+    if (rows != nullptr) *rows += lrows;
   });
-  return Status::OK();
+  return failed;
 }
 
 Status Query::ExecuteWithIndex(ColumnId index_col, ColumnMask needed,
@@ -237,7 +238,8 @@ Status Query::ExecuteWithIndex(ColumnId index_col, ColumnMask needed,
     // candidates are only hints (Section 3.1).
     Status s = table_->ResolveRecord(*r, table_->SlotOf(rid), spec,
                                      needed | 1ull, &tmp, nullptr);
-    if (!s.ok()) continue;
+    if (s.IsNotFound()) continue;
+    LSTORE_RETURN_IF_ERROR(s);
     bool pass = true;
     for (const Filter& f : filters_) {
       if (!f.Matches(tmp[f.col])) {
@@ -263,15 +265,16 @@ Status Query::ExecuteWithIndex(ColumnId index_col, ColumnMask needed,
   return Status::OK();
 }
 
-void Query::ScanPartition(uint64_t range_id, uint32_t slot_begin,
-                          uint32_t slot_end, ColumnMask needed,
-                          Timestamp as_of, ColumnId agg_col, const RowFn* visit,
-                          uint64_t* sum, uint64_t* rows) const {
+Status Query::ScanPartition(uint64_t range_id, uint32_t slot_begin,
+                            uint32_t slot_end, ColumnMask needed,
+                            Timestamp as_of, ColumnId agg_col,
+                            const RowFn* visit, uint64_t* sum,
+                            uint64_t* rows) const {
   Table::Range* r = table_->GetRange(range_id);
-  if (r == nullptr) return;
+  if (r == nullptr) return Status::OK();
   uint32_t occ = r->occupied.load(std::memory_order_acquire);
   if (slot_end > occ) slot_end = occ;
-  if (slot_begin >= slot_end) return;
+  if (slot_begin >= slot_end) return Status::OK();
 
   const uint32_t ncols = table_->schema_.num_columns();
   const ColumnMask project = project_ & table_->schema_.AllColumns();
@@ -373,7 +376,8 @@ void Query::ScanPartition(uint64_t range_id, uint32_t slot_begin,
     Table::ReadSpec spec{as_of, nullptr, /*speculative=*/false};
     for (BitIter it(needed); it; ++it) tmp[*it] = kNull;
     Status s = table_->ResolveRecord(*r, slot, spec, needed, &tmp, nullptr);
-    if (!s.ok()) continue;
+    if (s.IsNotFound()) continue;
+    LSTORE_RETURN_IF_ERROR(s);
     bool pass = true;
     for (const Filter& f : filters_) {
       if (!f.Matches(tmp[f.col])) {
@@ -391,6 +395,7 @@ void Query::ScanPartition(uint64_t range_id, uint32_t slot_begin,
       (*visit)(key, tmp);
     }
   }
+  return Status::OK();
 }
 
 }  // namespace lstore

@@ -169,10 +169,12 @@ class Query {
                           Timestamp as_of, ColumnId agg_col, const RowFn* visit,
                           uint64_t* sum, uint64_t* rows) const;
 
-  /// Scan slots [slot_begin, slot_end) of one update range.
-  void ScanPartition(uint64_t range_id, uint32_t slot_begin, uint32_t slot_end,
-                     ColumnMask needed, Timestamp as_of, ColumnId agg_col,
-                     const RowFn* visit, uint64_t* sum, uint64_t* rows) const;
+  /// Scan slots [slot_begin, slot_end) of one update range. Fails
+  /// when a record has no lineage-consistent version (Busy).
+  Status ScanPartition(uint64_t range_id, uint32_t slot_begin,
+                       uint32_t slot_end, ColumnMask needed, Timestamp as_of,
+                       ColumnId agg_col, const RowFn* visit, uint64_t* sum,
+                       uint64_t* rows) const;
 
   const Table* table_;
   ColumnMask project_ = ~0ull;

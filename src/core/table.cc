@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -102,6 +101,13 @@ Table::Table(std::string name, Schema schema, TableConfig config,
       metrics_->GetCounter("lstore_commits_total", "Pipeline commits");
   obs_.aborts =
       metrics_->GetCounter("lstore_aborts_total", "Pipeline aborts");
+  obs_.read_repairs = metrics_->GetCounter(
+      "lstore_read_repairs_total",
+      "Reads re-resolved after an inconsistent lineage attempt");
+  obs_.read_repair_exhausted = metrics_->GetCounter(
+      "lstore_read_repair_exhausted_total",
+      "Reads that ran out of optimistic repairs and resolved under the "
+      "range's merge latch");
   if (config_.enable_logging && !config_.log_path.empty()) {
     log_ = std::make_unique<RedoLog>();
     log_->set_sync_counter(config_.sync_counter);
@@ -464,24 +470,32 @@ bool Table::VisibleAtSnapshot(Value raw_start, Timestamp as_of) const {
 Status Table::ResolveRecord(Range& r, uint32_t slot, const ReadSpec& spec,
                             ColumnMask needed, std::vector<Value>* out,
                             uint32_t* observed_seq) const {
-  Status status = Status::OK();
-  for (int attempt = 0; attempt < 8; ++attempt) {
+  constexpr int kOptimisticAttempts = 8;
+  for (int attempt = 0; attempt < kOptimisticAttempts; ++attempt) {
     bool consistent = true;
-    status = ResolveRecordOnce(r, slot, spec, needed, out, observed_seq,
-                               &consistent);
-    if (consistent) return status;
+    Status s = ResolveRecordOnce(r, slot, spec, needed, out, observed_seq,
+                                 &consistent);
+    if (consistent) return s;
     // Theorem 2: an inconsistent read (detected via the in-page
     // lineage) is repaired by re-resolving against fresh state.
+    obs_.read_repairs->Increment();
     std::this_thread::yield();
-    if (attempt == 6) {
-      std::fprintf(stderr,
-                   "lstore: ResolveRecord retries exhausted slot=%u as_of=%llu"
-                   " tps=%u\n",
-                   slot, (unsigned long long)spec.as_of,
-                   r.merged_tps.load(std::memory_order_acquire));
-    }
   }
-  return status;
+  // Merges kept landing mid-resolve, or the lineage lacks this
+  // version. Every segment swap of this range (insert and update
+  // merges, historic compression, checkpoint capture) holds its merge
+  // latch, and none of them reads through here, so one more attempt
+  // under the latch sees a fixed lineage.
+  obs_.read_repair_exhausted->Increment();
+  bool consistent = true;
+  Status s;
+  {
+    SpinGuard g(r.merge_latch);
+    s = ResolveRecordOnce(r, slot, spec, needed, out, observed_seq,
+                          &consistent);
+  }
+  if (consistent) return s;
+  return Status::Busy("no lineage-consistent version at this snapshot");
 }
 
 Status Table::ResolveRecordOnce(Range& r, uint32_t slot, const ReadSpec& spec,
@@ -650,29 +664,42 @@ Status Table::ResolveRecordOnce(Range& r, uint32_t slot, const ReadSpec& spec,
   // predate a record's first update while a later segment load sees
   // many merges beyond the snapshot), so re-loading pointers or
   // trusting earlier samples would serve too-new values.
+  //
+  // A base-resident column whose ever_updated bit is still clear after
+  // the value loads below holds its insert-time value in every segment
+  // those loads can have seen: an update sets the bit before it
+  // commits, hence before any merge can consolidate it. Every snapshot
+  // that sees the record agrees on that value, so it needs no guard,
+  // unless a merged delete cleared it to kNull.
   ColumnMask fallback = remaining | base_resident;
   BaseSegment* lut_seg =
       r.base[schema_.num_columns() + kBaseLastUpdated].load(
           std::memory_order_acquire);
-  const bool snapshot_read = spec.as_of != kMaxTimestamp && fallback != 0;
   const bool lut_covers = lut_seg != nullptr && slot < lut_seg->num_slots;
-  if (snapshot_read && lut_covers) {
-    Value lut = lut_seg->Pin().Get(slot);
-    if (lut != kNull && (IsTxnId(lut) || lut >= spec.as_of)) {
-      *consistent = false;
-    }
-  }
+  ColumnMask newer = 0;   // served from a segment newer than lut_seg
+  ColumnMask nulled = 0;  // served kNull
   for (BitIter it(fallback); it; ++it) {
     uint32_t col = static_cast<uint32_t>(*it);
     BaseSegment* seg = Segment(r, col);
     bool seg_covers = seg != nullptr && slot < seg->num_slots;
-    if (snapshot_read && seg_covers &&
-        (!lut_covers || seg->tps > lut_seg->tps)) {
-      *consistent = false;
+    Value v = seg_covers ? seg->Pin().Get(slot)
+                         : r.inserts.Read(slot + 1, kTailMetaColumns + col);
+    (*out)[col] = v;
+    if (v == kNull) nulled |= 1ull << col;
+    if (seg_covers && (!lut_covers || seg->tps > lut_seg->tps)) {
+      newer |= 1ull << col;
     }
-    (*out)[*it] = seg_covers
-                      ? seg->Pin().Get(slot)
-                      : r.inserts.Read(slot + 1, kTailMetaColumns + col);
+  }
+  if (spec.as_of != kMaxTimestamp && fallback != 0) {
+    ColumnMask ever_now = r.ever_updated[slot].load(std::memory_order_acquire);
+    ColumnMask guarded = remaining | (base_resident & (ever_now | nulled));
+    if ((newer & guarded) != 0) *consistent = false;
+    if (guarded != 0 && lut_covers) {
+      Value lut = lut_seg->Pin().Get(slot);
+      if (lut != kNull && (IsTxnId(lut) || lut >= spec.as_of)) {
+        *consistent = false;
+      }
+    }
   }
   return Status::OK();
 }
@@ -712,7 +739,10 @@ Status Table::ValidateReads(Transaction* txn, Timestamp commit_time) {
     // our txn id and would otherwise shadow the committed version).
     ReadSpec spec{commit_time, nullptr, /*speculative=*/false};
     Status s = ResolveRecord(*r, e.base_slot, spec, 0, &tmp, &now_seq);
-    (void)s;  // NotFound encodes deletion; seq comparison covers it
+    // NotFound encodes deletion; the seq comparison covers it.
+    if (!s.ok() && !s.IsNotFound()) {
+      return Status::Aborted("read validation could not resolve");
+    }
     if (now_seq != e.observed_seq &&
         own.count((e.range_id << 24) | now_seq) == 0) {
       return Status::Aborted("read validation failed");

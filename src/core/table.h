@@ -427,7 +427,9 @@ class Table : public TxnContext {
 
   /// Resolve the visible version of (range, slot): fills out[col] for
   /// the requested mask; reports the visible version's seq (0 = base)
-  /// and whether the record is deleted / not visible.
+  /// and whether the record is deleted / not visible. Returns Busy,
+  /// never unverified values, when not even a resolve under the
+  /// range's merge latch is lineage-consistent.
   Status ResolveRecord(Range& r, uint32_t slot, const ReadSpec& spec,
                        ColumnMask needed, std::vector<Value>* out,
                        uint32_t* observed_seq) const;
@@ -534,6 +536,8 @@ class Table : public TxnContext {
     Histogram* commit_publish_ns = nullptr;  ///< state flip + write stamping
     Counter* commits = nullptr;              ///< pipeline commits
     Counter* aborts = nullptr;               ///< pipeline aborts
+    Counter* read_repairs = nullptr;         ///< inconsistent re-resolves
+    Counter* read_repair_exhausted = nullptr;  ///< latched fallbacks
   } obs_;
 
   /// The enclosing engine whose sessions are also valid here (the

@@ -2,7 +2,9 @@
 // and its key generators (src/common/random.h): scrambled-zipfian
 // shape and determinism, latency-reservoir percentiles validated
 // against the engine's log-scale obs Histogram, and the OpMix /
-// SloSpec / BenchArgs parsers the whole bench suite shares.
+// SloSpec / BenchArgs parsers the whole bench suite shares. The
+// figures' engine adapters (bench/engines.h) are driven through one
+// short sweep point each.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "engines.h"
 #include "common/random.h"
 #include "obs/metrics.h"
 
@@ -259,6 +262,55 @@ TEST(BenchArgs, DistUniformZeroesTheta) {
   std::string err;
   ASSERT_TRUE(args.Parse(3, const_cast<char**>(argv), &err)) << err;
   EXPECT_DOUBLE_EQ(args.theta, 0.0);
+}
+
+TEST(BenchArgs, ThreadPointsTakeAListOrACap) {
+  BenchArgs args;
+  args.threads = {4};
+  EXPECT_EQ(bench::ThreadPoints(args), (std::vector<uint32_t>{1, 2, 4}));
+  args.threads = {3, 1};
+  EXPECT_EQ(bench::ThreadPoints(args), (std::vector<uint32_t>{3, 1}));
+  EXPECT_EQ(bench::MaxThreads(args), 3u);
+  args.threads = {0};
+  EXPECT_EQ(bench::ThreadPoints(args), (std::vector<uint32_t>{1}));
+}
+
+// --- figure engines --------------------------------------------------------
+
+TEST(FigureEngines, ContentionSplitsTheRows) {
+  using bench::Contention;
+  EXPECT_EQ(bench::ActiveSet(20000, Contention::kLow), 20000u);
+  EXPECT_EQ(bench::ActiveSet(20000, Contention::kMedium), 200u);
+  EXPECT_EQ(bench::ActiveSet(20000, Contention::kHigh), 20u);
+  EXPECT_EQ(bench::ActiveSet(50, Contention::kHigh), 1u);
+}
+
+// Every engine loads, scans the loaded values, and runs one contended
+// sweep point of the Section 6 mix without errors: updates and scans
+// both complete, and write-write conflicts land in `aborts`.
+TEST(FigureEngines, EveryEngineRunsTheMix) {
+  using bench::EngineKind;
+  BenchArgs args;
+  args.warmup_ms = 20;
+  args.duration_ms = 100;
+  constexpr uint64_t kRows = 2000;
+  uint64_t expect = 0;
+  for (uint64_t k = 0; k < kRows; ++k) expect += k * 7 + 1;
+  for (EngineKind kind : {EngineKind::kLStore, EngineKind::kLStoreRow,
+                          EngineKind::kIuh, EngineKind::kDbm}) {
+    SCOPED_TRACE(bench::EngineName(kind));
+    auto engine =
+        bench::LoadedEngine(kind, bench::FigureTableConfig(256, 128), kRows);
+    uint64_t sum = 0;
+    ASSERT_TRUE(engine->ScanSum(&sum).ok());
+    EXPECT_EQ(sum, expect);
+    bench::WorkloadResult r =
+        bench::RunMix(args, *engine, /*active=*/20, /*updaters=*/3,
+                      /*scanners=*/1);
+    EXPECT_GT(r.stats.ops[bench::kOpUpdate], 0u);
+    EXPECT_GT(r.stats.ops[bench::kOpScan], 0u);
+    EXPECT_EQ(r.stats.errors, 0u);
+  }
 }
 
 }  // namespace
