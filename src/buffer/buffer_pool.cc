@@ -1,7 +1,10 @@
 #include "buffer/buffer_pool.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <thread>
@@ -12,10 +15,128 @@
 #include "common/epoch.h"
 #include "log/redo_log.h"
 #include "obs/event_log.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "storage/compressed_column.h"
 #include "storage/compression/varint.h"
 
 namespace lstore {
+
+// ---------------------------------------------------------------------------
+// Swap payload layouts
+// ---------------------------------------------------------------------------
+
+namespace {
+
+static_assert(std::endian::native == std::endian::little,
+              "fixed-width swap payloads are decoded with native loads");
+
+constexpr uint32_t kBlockChecksumBytes = sizeof(uint32_t);
+
+/// Bytes the value `maxv` needs (1–8).
+uint32_t ByteWidth(uint64_t maxv) {
+  uint32_t w = 1;
+  while (w < 8 && (maxv >> (8 * w)) != 0) ++w;
+  return w;
+}
+
+/// Byte length of a fixed payload after its [count][width] header.
+uint64_t FixedBodyBytes(uint64_t count, uint32_t width, bool blocked) {
+  uint64_t n = count * width;
+  if (blocked) {
+    n += (count + kFixedBlockSlots - 1) / kFixedBlockSlots *
+         kBlockChecksumBytes;
+  }
+  return n;
+}
+
+/// Decode `count` little-endian `width`-byte values starting at `p`,
+/// skipping `gap` checksum bytes after every `block` values. Each value
+/// is one 8-byte load and a mask, so the buffer needs 8 readable bytes
+/// past the last value.
+void DecodeFixed(const char* p, uint64_t count, uint32_t width,
+                 uint64_t block, uint32_t gap, Value* out) {
+  const uint64_t mask =
+      width == 8 ? ~uint64_t{0} : (uint64_t{1} << (8 * width)) - 1;
+  for (uint64_t i = 0; i < count; p += gap) {
+    for (const uint64_t end = std::min(count, i + block); i < end; ++i) {
+      uint64_t x = 0;
+      std::memcpy(&x, p, sizeof(x));
+      out[i] = x & mask;
+      p += width;
+    }
+  }
+}
+
+/// Decode a whole payload of `size` bytes at `data` (with 8 bytes of
+/// slack past it) laid out as (`format`, `width`) for `num_slots`
+/// slots. Any mismatch is Corruption.
+Status DecodeSwapPayload(const char* data, size_t size, uint32_t num_slots,
+                         SwapFormat format, uint32_t width,
+                         std::vector<Value>* vals) {
+  size_t pos = 0;
+  uint64_t count = 0;
+  if (!GetVarint64(data, size, &pos, &count) || count != num_slots) {
+    return Status::Corruption("segment payload slot count mismatch");
+  }
+  vals->resize(count);
+  if (format == SwapFormat::kVarint) {
+    for (uint64_t i = 0; i < count; ++i) {
+      if (!GetVarint64(data, size, &pos, &(*vals)[i])) {
+        return Status::Corruption("segment payload truncated");
+      }
+    }
+    return Status::OK();
+  }
+  // [count varint][width byte][fixed body]; kFixed has no checksum
+  // gaps, kFixedBlocks one after every block.
+  const bool blocked = format == SwapFormat::kFixedBlocks;
+  if (!ValidSwapLayout(static_cast<uint64_t>(format), width) ||
+      pos >= size || static_cast<uint8_t>(data[pos]) != width ||
+      size - pos - 1 != FixedBodyBytes(count, width, blocked)) {
+    return Status::Corruption("segment payload fixed-width mismatch");
+  }
+  DecodeFixed(data + pos + 1, count, width,
+              blocked ? kFixedBlockSlots : count,
+              blocked ? kBlockChecksumBytes : 0, vals->data());
+  return Status::OK();
+}
+
+}  // namespace
+
+std::string EncodeSwapPayload(const std::vector<Value>& vals,
+                              SwapFormat* format, uint32_t* width) {
+  uint64_t maxv = 0;
+  size_t varint_bytes = 0;
+  for (Value v : vals) {
+    maxv = std::max(maxv, v);
+    varint_bytes += VarintLength(v);
+  }
+  const uint32_t w = ByteWidth(maxv);
+  std::string payload;
+  PutVarint64(&payload, vals.size());
+  if (vals.size() * w > varint_bytes) {
+    for (Value v : vals) PutVarint64(&payload, v);
+    *format = SwapFormat::kVarint;
+    *width = 0;
+    return payload;
+  }
+  payload.push_back(static_cast<char>(w));
+  payload.reserve(payload.size() + FixedBodyBytes(vals.size(), w, true));
+  for (size_t first = 0; first < vals.size(); first += kFixedBlockSlots) {
+    const size_t block_start = payload.size();
+    const size_t end = std::min(vals.size(), first + kFixedBlockSlots);
+    for (size_t i = first; i < end; ++i) {
+      payload.append(reinterpret_cast<const char*>(&vals[i]), w);
+    }
+    const uint32_t crc = Fnv1a32(payload.data() + block_start,
+                                 payload.size() - block_start);
+    payload.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  }
+  *format = SwapFormat::kFixedBlocks;
+  *width = w;
+  return payload;
+}
 
 // ---------------------------------------------------------------------------
 // SegmentPage
@@ -23,7 +144,11 @@ namespace lstore {
 
 SegmentPage::SegmentPage(EpochManager* epochs, uint32_t num_slots,
                          bool compress)
-    : num_slots_(num_slots), compress_(compress), epochs_(epochs) {}
+    : num_slots_(num_slots),
+      encoding_(compress ? kEncodingUndecided
+                         : static_cast<uint8_t>(
+                               CompressedColumn::Encoding::kPlain)),
+      epochs_(epochs) {}
 
 SegmentPage::~SegmentPage() {
   BufferPool* pool = pool_.load(std::memory_order_acquire);
@@ -37,6 +162,8 @@ SegmentPage::~SegmentPage() {
 
 void SegmentPage::SetResident(const CompressedColumn* col) {
   resident_bytes_.store(col->byte_size(), std::memory_order_relaxed);
+  encoding_.store(static_cast<uint8_t>(col->encoding()),
+                  std::memory_order_relaxed);
   payload_.store(col, std::memory_order_release);
 }
 
@@ -58,6 +185,15 @@ void SegmentPage::SetSwap(SegmentStore* store, uint64_t offset,
 BufferPool::BufferPool(uint64_t budget_bytes) : budget_(budget_bytes) {}
 
 BufferPool::~BufferPool() = default;
+
+void BufferPool::set_metrics(MetricsRegistry* registry) {
+  if (registry == nullptr) return;
+  load_ns_.store(
+      registry->GetHistogram(
+          "lstore_buffer_load_ns",
+          "Buffer-pool demand load: pread, verify, decode, build (ns)"),
+      std::memory_order_release);
+}
 
 uint64_t BufferPool::EnvBudgetBytes() {
   static const uint64_t v = [] {
@@ -185,53 +321,25 @@ const CompressedColumn* BufferPool::LoadColdPayload(SegmentPage* page,
                                                     bool* won) {
   *won = false;
   // Only swapped pages can ever be cold (eviction requires a store).
+  // The buffer carries 8 bytes of zeroed slack for the fixed decoder.
   std::string payload;
   Status s = Status::OK();
   std::vector<Value> vals;
   if (page->store_ == nullptr) {
     s = Status::Corruption("cold page has no segment store");
   } else {
-    s = page->store_->ReadAt(page->swap_offset_, page->swap_length_, &payload);
+    payload.resize(page->swap_length_ + sizeof(uint64_t));
+    s = page->store_->ReadAt(page->swap_offset_, page->swap_length_,
+                             payload.data());
   }
   if (s.ok() &&
-      Fnv1a32(payload.data(), payload.size()) != page->swap_checksum_) {
+      Fnv1a32(payload.data(), page->swap_length_) != page->swap_checksum_) {
     s = Status::Corruption("segment payload checksum mismatch");
   }
   if (s.ok()) {
-    size_t pos = 0;
-    uint64_t count = 0;
-    if (!GetVarint64(payload.data(), payload.size(), &pos, &count) ||
-        count != page->num_slots_) {
-      s = Status::Corruption("segment payload slot count mismatch");
-    } else if (page->swap_format_ == SwapFormat::kFixed) {
-      // [count varint][width byte][count * width bytes, little-endian]
-      uint32_t width = pos < payload.size()
-                           ? static_cast<uint8_t>(payload[pos])
-                           : 0;
-      ++pos;
-      if (width != page->swap_value_width_ ||
-          payload.size() != pos + count * width) {
-        s = Status::Corruption("segment payload fixed-width mismatch");
-      } else {
-        vals.resize(count);
-        for (uint64_t i = 0; i < count; ++i) {
-          uint64_t v = 0;
-          for (uint32_t b = 0; b < width; ++b) {
-            v |= static_cast<uint64_t>(
-                     static_cast<uint8_t>(payload[pos + i * width + b]))
-                 << (8 * b);
-          }
-          vals[i] = v;
-        }
-      }
-    } else {
-      vals.resize(count);
-      for (uint64_t i = 0; i < count && s.ok(); ++i) {
-        if (!GetVarint64(payload.data(), payload.size(), &pos, &vals[i])) {
-          s = Status::Corruption("segment payload truncated");
-        }
-      }
-    }
+    s = DecodeSwapPayload(payload.data(), page->swap_length_,
+                          page->num_slots_, page->swap_format_,
+                          page->swap_value_width_, &vals);
   }
   if (!s.ok()) {
     // Storage-integrity fault: serving ∅ instead would silently
@@ -249,8 +357,20 @@ const CompressedColumn* BufferPool::LoadColdPayload(SegmentPage* page,
     std::abort();
   }
 
-  const CompressedColumn* col =
-      CompressedColumn::Build(std::move(vals), page->compress_).release();
+  // Rebuild the encoding the page's first Build chose, or choose it
+  // now (a lazily restored page) and remember it for later reloads.
+  const uint8_t enc = page->encoding_.load(std::memory_order_relaxed);
+  const CompressedColumn* col;
+  if (enc != SegmentPage::kEncodingUndecided) {
+    col = CompressedColumn::BuildAs(
+              std::move(vals), static_cast<CompressedColumn::Encoding>(enc))
+              .release();
+  } else {
+    col = CompressedColumn::Build(std::move(vals), /*try_compress=*/true)
+              .release();
+    page->encoding_.store(static_cast<uint8_t>(col->encoding()),
+                          std::memory_order_relaxed);
+  }
   // resident_bytes_ is identical across reloads (Build is
   // deterministic), so writing it before the publish CAS is benign
   // even when two loaders race.
@@ -267,8 +387,20 @@ const CompressedColumn* BufferPool::LoadColdPayload(SegmentPage* page,
 
 bool BufferPool::ReadColdSlot(SegmentPage* page, uint32_t slot, Value* out) {
   if (page == nullptr || page->store_ == nullptr ||
-      page->swap_format_ != SwapFormat::kFixed ||
+      page->swap_format_ != SwapFormat::kFixedBlocks ||
       slot >= page->num_slots_) {
+    return false;
+  }
+  // Slot addressing: past the [count varint][width byte] header, block
+  // b holds kFixedBlockSlots values (fewer in the last block) followed
+  // by their checksum. A width or length that does not fit that
+  // geometry is declined; the pin path reports it as corruption.
+  const uint32_t width = page->swap_value_width_;
+  const uint64_t header = VarintLength(page->num_slots_) + 1;
+  if (!ValidSwapLayout(static_cast<uint64_t>(SwapFormat::kFixedBlocks),
+                       width) ||
+      page->swap_length_ !=
+          header + FixedBodyBytes(page->num_slots_, width, true)) {
     return false;
   }
   if (page->payload_.load(std::memory_order_acquire) != nullptr) {
@@ -281,21 +413,28 @@ bool BufferPool::ReadColdSlot(SegmentPage* page, uint32_t slot, Value* out) {
       kColdReadPromotion) {
     return false;
   }
-  const uint32_t width = page->swap_value_width_;
-  // Slot addressing: past the [count varint][width byte] header every
-  // value occupies exactly `width` bytes.
-  const uint64_t header = VarintLength(page->num_slots_) + 1;
-  std::string bytes;
+  const uint32_t block = slot / kFixedBlockSlots;
+  const uint32_t first = block * kFixedBlockSlots;
+  const uint64_t value_bytes =
+      uint64_t{std::min(kFixedBlockSlots, page->num_slots_ - first)} * width;
+  char buf[kFixedBlockSlots * sizeof(Value) + kBlockChecksumBytes];
   if (!page->store_
            ->ReadAt(page->swap_offset_ + header +
-                        static_cast<uint64_t>(slot) * width,
-                    width, &bytes)
+                        uint64_t{block} *
+                            (kFixedBlockSlots * width + kBlockChecksumBytes),
+                    value_bytes + kBlockChecksumBytes, buf)
            .ok()) {
     return false;  // fall back to the full-inflate path (fail-stop there)
   }
+  uint32_t crc = 0;
+  std::memcpy(&crc, buf + value_bytes, sizeof(crc));
+  if (Fnv1a32(buf, value_bytes) != crc) {
+    return false;  // never serve unverified bytes; hydration fails stop
+  }
+  const char* p = buf + uint64_t{slot - first} * width;
   uint64_t v = 0;
   for (uint32_t b = 0; b < width; ++b) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[b])) << (8 * b);
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[b])) << (8 * b);
   }
   *out = v;
   BufferPool* pool = page->pool_.load(std::memory_order_acquire);
@@ -307,7 +446,11 @@ bool BufferPool::ReadColdSlot(SegmentPage* page, uint32_t slot, Value* out) {
 
 const CompressedColumn* BufferPool::Load(SegmentPage* page) {
   bool won = false;
-  const CompressedColumn* col = LoadColdPayload(page, &won);
+  const CompressedColumn* col;
+  {
+    LSTORE_TRACE(load_ns_.load(std::memory_order_acquire));
+    col = LoadColdPayload(page, &won);
+  }
   if (!won) {
     CountHit();  // another loader published first
     return col;

@@ -36,6 +36,8 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <string>
+#include <vector>
 
 #include "common/types.h"
 
@@ -45,17 +47,50 @@ class BufferPool;
 class CompressedColumn;
 class EpochManager;
 class EventLog;
+class Histogram;
+class MetricsRegistry;
 class SegmentStore;
 
-/// On-disk layout of a swapped segment payload. kVarint is the
-/// original format ([count varint][varint values...]): compact, but a
-/// miss must inflate the whole segment. kFixed
-/// ([count varint][width byte][count * width bytes, little-endian])
-/// gives every slot a fixed offset, so a cold POINT read decodes just
-/// the requested slot — O(1) instead of O(range). The writer picks
-/// whichever is smaller; the format travels in the page metadata and
-/// the checkpoint's segment-ref frames, never sniffed from bytes.
-enum class SwapFormat : uint8_t { kVarint = 0, kFixed = 1 };
+/// On-disk layout of a swapped segment payload. The format travels in
+/// the page metadata and the checkpoint's segment-ref frames, never
+/// sniffed from bytes.
+///  * kVarint: [count varint][varint values...] — compact, but a miss
+///    must inflate the whole segment.
+///  * kFixed: [count varint][width byte][count * width bytes LE]. The
+///    unchecked fixed layout of older checkpoints: still hydrated,
+///    never read slot by slot (its slot bytes carry no checksum).
+///  * kFixedBlocks: [count varint][width byte], then blocks of
+///    kFixedBlockSlots values, each block's `slots * width` value bytes
+///    followed by the FNV-1a32 of those bytes. Every slot has a fixed
+///    offset and a small checksummed block, so a cold POINT read
+///    preads and verifies one block — O(1) instead of O(range).
+/// The width is the bytes the segment's largest value needs (1–8);
+/// the writer picks the fixed layout when `count * width` is no larger
+/// than the varint bytes. Every payload also carries a whole-payload
+/// checksum (page metadata and checkpoint refs) that hydration checks.
+enum class SwapFormat : uint8_t { kVarint = 0, kFixed = 1, kFixedBlocks = 2 };
+
+/// Whether a (format, width) pair describes a decodable payload:
+/// widths 1–8 for the fixed layouts, 0 for varint.
+inline bool ValidSwapLayout(uint64_t format, uint64_t width) {
+  switch (format) {
+    case static_cast<uint64_t>(SwapFormat::kVarint):
+      return width == 0;
+    case static_cast<uint64_t>(SwapFormat::kFixed):
+    case static_cast<uint64_t>(SwapFormat::kFixedBlocks):
+      return width >= 1 && width <= 8;
+  }
+  return false;
+}
+
+/// Slots per checksummed block of a kFixedBlocks payload.
+inline constexpr uint32_t kFixedBlockSlots = 64;
+
+/// Encode `vals` for the segment store in the smaller of kVarint and
+/// kFixedBlocks (ties go to the fixed layout); the chosen layout is
+/// reported through `format` and `width` (0 for varint).
+std::string EncodeSwapPayload(const std::vector<Value>& vals,
+                              SwapFormat* format, uint32_t* width);
 
 /// Aggregate pool counters (benchmarks, tests, Database::buffer_stats).
 struct BufferPoolStats {
@@ -90,7 +125,7 @@ class SegmentPage {
 
   /// Record the write-through location; from now on the page is
   /// evictable and can demand-load. `width` is the byte width per
-  /// value for kFixed payloads (unused for kVarint).
+  /// value for the fixed layouts (0 for kVarint).
   void SetSwap(SegmentStore* store, uint64_t offset, uint64_t length,
                uint32_t checksum, SwapFormat format = SwapFormat::kVarint,
                uint32_t width = 0);
@@ -120,14 +155,19 @@ class SegmentPage {
   std::atomic<uint32_t> cold_reads_{0};
   std::atomic<uint64_t> resident_bytes_{0};  ///< charged while resident
   uint32_t num_slots_;
-  bool compress_;  ///< rebuild demand-loaded values with compression
+  /// The CompressedColumn::Encoding the first Build chose, or
+  /// kEncodingUndecided until then: a reload builds that encoding
+  /// directly instead of re-deciding it (Build is deterministic).
+  /// Pages of tables that do not compress start at kPlain.
+  static constexpr uint8_t kEncodingUndecided = 0xff;
+  std::atomic<uint8_t> encoding_;
   EpochManager* epochs_;
   SegmentStore* store_ = nullptr;
   uint64_t swap_offset_ = 0;
   uint64_t swap_length_ = 0;
   uint32_t swap_checksum_ = 0;
   SwapFormat swap_format_ = SwapFormat::kVarint;
-  uint32_t swap_value_width_ = 0;  ///< bytes per value (kFixed only)
+  uint32_t swap_value_width_ = 0;  ///< bytes per value (fixed layouts)
 
   /// Set at Register, cleared by Unregister/DetachDomain.
   std::atomic<BufferPool*> pool_{nullptr};
@@ -165,26 +205,27 @@ class BufferPool {
   const CompressedColumn* Acquire(SegmentPage* page);
 
   /// Pool-less demand load (a lazily restored segment on a database
-  /// reopened WITHOUT a pool): read, verify, build, publish — no
-  /// budget accounting, so the page stays resident once hydrated.
-  /// `*won` reports whether this call published the payload.
+  /// reopened WITHOUT a pool): read, verify the whole-payload
+  /// checksum, decode, build, publish — no budget accounting, so the
+  /// page stays resident once hydrated. `*won` reports whether this
+  /// call published the payload. A payload that fails verification or
+  /// decoding aborts the process (fail-stop).
   static const CompressedColumn* LoadColdPayload(SegmentPage* page,
                                                  bool* won);
 
   /// O(1) single-value demand read: serve a point read of one slot of
-  /// a COLD fixed-width segment by reading exactly `width` bytes from
-  /// the store — no inflation, no residency or clock-state change.
-  /// Returns false (caller pins as usual) when the page is resident,
-  /// varint-coded, or storeless — or once the page has absorbed
-  /// kColdReadPromotion slot reads since it last went cold: a page
-  /// that hot deserves residency, so declining hands it to the pin
-  /// path, which hydrates it and serves every later read from memory
-  /// (one pread per read forever would be the wrong steady state).
-  /// Trade-off, mirroring an mmap'd read: the whole-payload checksum
-  /// is only verified on full hydration, so a flipped bit inside the
-  /// slot bytes is served as-is here —
-  /// DurabilityOptions::verify_segment_store_on_open covers
-  /// deployments that need eager integrity.
+  /// a COLD kFixedBlocks segment by preading the slot's block and its
+  /// checksum into a stack buffer and verifying them — no inflation,
+  /// no allocation, no residency or clock-state change. Returns false
+  /// (caller pins as usual) when the page is resident, storeless, not
+  /// in the block layout, has an invalid width, or its block fails
+  /// verification — the pin path then checks the whole payload and
+  /// fails stop, so corrupt bytes are never served. Also declines once
+  /// the page has absorbed kColdReadPromotion slot reads since it last
+  /// went cold: a page that hot deserves residency, so declining hands
+  /// it to the pin path, which hydrates it and serves every later read
+  /// from memory (one pread per read forever would be the wrong
+  /// steady state).
   static bool ReadColdSlot(SegmentPage* page, uint32_t slot, Value* out);
 
   /// Cold slot reads a page absorbs before ReadColdSlot declines and
@@ -206,6 +247,10 @@ class BufferPool {
     events_.store(events, std::memory_order_release);
   }
 
+  /// Wire registry metrics (nullable): every miss records its pread,
+  /// verify, decode and build time into `lstore_buffer_load_ns`.
+  void set_metrics(MetricsRegistry* registry);
+
   /// Value of the LSTORE_BUFFER_POOL_BYTES test knob (0 = unset): CI
   /// uses it to force every suite through the miss/evict path.
   static uint64_t EnvBudgetBytes();
@@ -221,6 +266,7 @@ class BufferPool {
 
   const uint64_t budget_;
   std::atomic<EventLog*> events_{nullptr};
+  std::atomic<Histogram*> load_ns_{nullptr};
   std::atomic<bool> over_budget_{false};
   /// Hit counting is the only pool-global write on the read hot path;
   /// shard it so point reads across threads do not all RMW one cache

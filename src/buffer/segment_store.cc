@@ -98,14 +98,19 @@ Status SegmentStore::Append(std::string_view payload, uint64_t* offset) {
 
 Status SegmentStore::ReadAt(uint64_t offset, uint64_t length,
                             std::string* out) const {
+  out->resize(length);
+  return ReadAt(offset, length, out->data());
+}
+
+Status SegmentStore::ReadAt(uint64_t offset, uint64_t length,
+                            char* out) const {
   if (fd_ < 0) return Status::IOError("segment store not open");
   if (!Contains(offset, length)) {
     return Status::Corruption("segment store read out of bounds");
   }
-  out->resize(length);
   size_t done = 0;
   while (done < length) {
-    ssize_t n = ::pread(fd_, out->data() + done, length - done,
+    ssize_t n = ::pread(fd_, out + done, length - done,
                         static_cast<off_t>(offset + done));
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;

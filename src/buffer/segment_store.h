@@ -57,6 +57,9 @@ class SegmentStore {
 
   /// Read back [offset, offset + length). Thread-safe against Append.
   Status ReadAt(uint64_t offset, uint64_t length, std::string* out) const;
+  /// Same, into a caller buffer of at least `length` bytes (cold slot
+  /// reads use a stack buffer: no allocation per read).
+  Status ReadAt(uint64_t offset, uint64_t length, char* out) const;
 
   /// Whether [offset, offset + length) lies within the current file
   /// (recovery validates manifest references eagerly).

@@ -452,11 +452,12 @@ Status CheckpointIO::LoadTable(Table* t, const std::string& path,
           return Status::Corruption("bad base segment ref");
         }
         // Payload format + value width (absent in pre-fixed-width
-        // checkpoints = varint).
+        // checkpoints = varint). Only a known format with a width that
+        // fits it may reach the decoders.
         uint64_t format = 0, width = 0;
         if (pos < p.size() &&
             (!GetU64(p, &pos, &format) || !GetU64(p, &pos, &width) ||
-             format > static_cast<uint64_t>(SwapFormat::kFixed))) {
+             !ValidSwapLayout(format, width))) {
           return Status::Corruption("bad base segment ref format");
         }
         if (pc >= nphys) return Status::Corruption("segment column overflow");

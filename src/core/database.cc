@@ -319,6 +319,7 @@ Status Database::Open(const std::string& dir, const DurabilityOptions& opts,
   if (pool_budget > 0) {
     db->buffer_pool_ = std::make_unique<BufferPool>(pool_budget);
     db->buffer_pool_->set_event_log(&db->events_);
+    db->buffer_pool_->set_metrics(&db->metrics_);
   }
 
   // Log archiving: the manager exists (and its directory is swept of

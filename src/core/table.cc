@@ -11,7 +11,6 @@
 #include "core/historic.h"
 #include "core/merge.h"
 #include "core/query.h"
-#include "storage/compression/varint.h"
 
 namespace lstore {
 
@@ -138,6 +137,7 @@ Table::Table(std::string name, Schema schema, TableConfig config,
       owned_store_ = std::make_unique<SegmentStore>();
       if (owned_store_->OpenTemp().ok()) {
         owned_pool_ = std::make_unique<BufferPool>(env_budget);
+        owned_pool_->set_metrics(metrics_);
         buffer_pool_ = owned_pool_.get();
         segment_store_ = owned_store_.get();
       } else {
@@ -265,15 +265,7 @@ std::vector<Table::ChainEntry> Table::DebugChain(Value key,
 Value Table::BaseValue(const Range& r, uint32_t slot,
                        uint32_t physical_col) const {
   BaseSegment* seg = r.base[physical_col].load(std::memory_order_acquire);
-  if (seg != nullptr && slot < seg->num_slots) {
-    // O(1) single-value demand read: a buffer-pool miss on a
-    // fixed-width cold segment decodes only the requested slot
-    // instead of inflating the whole column (varint-coded segments
-    // fall through to the full-inflate pin).
-    Value v;
-    if (BufferPool::ReadColdSlot(seg->page.get(), slot, &v)) return v;
-    return seg->Pin().Get(slot);
-  }
+  if (seg != nullptr && slot < seg->num_slots) return seg->Get(slot);
   // Not insert-merged yet: the record lives in the table-level tail
   // pages (Section 3.2) at the aligned position slot+1.
   uint32_t seq = slot + 1;
@@ -307,40 +299,18 @@ std::shared_ptr<SegmentPage> Table::MakeSegmentPage(std::vector<Value> vals) {
     // Write through BEFORE building (Build consumes vals): once the
     // bytes are in the store the page is evictable, and a durable
     // store lets checkpoints reference the segment instead of
-    // rewriting it. The payload format is chosen per segment: the
-    // byte-aligned fixed-width layout wins ties because it gives cold
-    // POINT reads O(1) slot addressing (decode one slot, not the
-    // range); value distributions where varint is strictly smaller
-    // keep the compact layout and the full-inflate path.
-    uint64_t maxv = 0;
-    size_t varint_bytes = 0;
-    for (Value v : vals) {
-      if (v > maxv) maxv = v;
-      varint_bytes += VarintLength(v);
-    }
-    const uint32_t width = maxv <= 0xffu           ? 1
-                           : maxv <= 0xffffu       ? 2
-                           : maxv <= 0xffffffffull ? 4
-                                                   : 8;
-    const bool fixed = vals.size() * width <= varint_bytes;
-    std::string payload;
-    PutVarint64(&payload, vals.size());
-    if (fixed) {
-      payload.push_back(static_cast<char>(width));
-      for (Value v : vals) {
-        for (uint32_t b = 0; b < width; ++b) {
-          payload.push_back(static_cast<char>((v >> (8 * b)) & 0xff));
-        }
-      }
-    } else {
-      for (Value v : vals) PutVarint64(&payload, v);
-    }
+    // rewriting it. The payload layout is chosen per segment
+    // (EncodeSwapPayload): the checksummed fixed-width blocks give
+    // cold POINT reads O(1) verified slot reads; value distributions
+    // where varint is strictly smaller keep the compact layout and
+    // the full-inflate path.
+    SwapFormat format = SwapFormat::kVarint;
+    uint32_t width = 0;
+    const std::string payload = EncodeSwapPayload(vals, &format, &width);
     uint64_t offset = 0;
     if (segment_store_->Append(payload, &offset).ok()) {
       page->SetSwap(segment_store_, offset, payload.size(),
-                    Fnv1a32(payload.data(), payload.size()),
-                    fixed ? SwapFormat::kFixed : SwapFormat::kVarint,
-                    fixed ? width : 0);
+                    Fnv1a32(payload.data(), payload.size()), format, width);
     }
     // Append failure (e.g. ENOSPC): the page simply stays resident
     // and unevictable — correctness is unaffected.
@@ -682,7 +652,7 @@ Status Table::ResolveRecordOnce(Range& r, uint32_t slot, const ReadSpec& spec,
     uint32_t col = static_cast<uint32_t>(*it);
     BaseSegment* seg = Segment(r, col);
     bool seg_covers = seg != nullptr && slot < seg->num_slots;
-    Value v = seg_covers ? seg->Pin().Get(slot)
+    Value v = seg_covers ? seg->Get(slot)
                          : r.inserts.Read(slot + 1, kTailMetaColumns + col);
     (*out)[col] = v;
     if (v == kNull) nulled |= 1ull << col;
@@ -695,7 +665,7 @@ Status Table::ResolveRecordOnce(Range& r, uint32_t slot, const ReadSpec& spec,
     ColumnMask guarded = remaining | (base_resident & (ever_now | nulled));
     if ((newer & guarded) != 0) *consistent = false;
     if (guarded != 0 && lut_covers) {
-      Value lut = lut_seg->Pin().Get(slot);
+      Value lut = lut_seg->Get(slot);
       if (lut != kNull && (IsTxnId(lut) || lut >= spec.as_of)) {
         *consistent = false;
       }

@@ -78,6 +78,16 @@ struct BaseSegment {
   /// Pin the payload (demand-loading if cold). Callers must hold an
   /// EpochGuard of the owning table for the handle's lifetime.
   PageHandle Pin() const { return PageHandle(page.get()); }
+
+  /// One slot's value, cold-slot-first: a buffer-pool miss on a
+  /// block-layout segment reads and verifies one block of the store
+  /// instead of inflating the whole column; anything else pins. Every
+  /// value comes from this segment object. Same epoch contract as Pin.
+  Value Get(uint32_t slot) const {
+    Value v = 0;
+    if (BufferPool::ReadColdSlot(page.get(), slot, &v)) return v;
+    return Pin().Get(slot);
+  }
 };
 
 /// Physical base columns beyond the data columns.

@@ -105,7 +105,13 @@ Status Server::Start() {
   acceptor_ = std::thread([this] { AcceptLoop(); });
   workers_.reserve(cfg_.workers);
   for (uint32_t i = 0; i < cfg_.workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    // Register before the thread exists, so a HEALTH request served
+    // right after Start() already sees every worker.
+    std::shared_ptr<Heartbeat> hb =
+        db_->health().Register("server.worker." + std::to_string(i));
+    workers_.emplace_back([this, hb = std::move(hb)]() mutable {
+      WorkerLoop(std::move(hb));
+    });
   }
   db_->event_log().Emit(EventSeverity::kInfo, "server", "start",
                         "\"port\":" + std::to_string(port_) + ",\"workers\":" +
@@ -333,12 +339,10 @@ void Server::ReaderLoop(std::shared_ptr<Session> session) {
   }
 }
 
-void Server::WorkerLoop(uint32_t index) {
+void Server::WorkerLoop(std::shared_ptr<Heartbeat> hb) {
   // Busy-scoped heartbeat: a worker parked on work_cv_ is healthy;
   // request execution (engine time, fsyncs included) is the monitored
-  // window. Local shared_ptr → unregisters when the pool drains.
-  std::shared_ptr<Heartbeat> hb =
-      db_->health().Register("server.worker." + std::to_string(index));
+  // window. Owned here → unregisters when the pool drains.
   for (;;) {
     std::shared_ptr<Session> session;
     Request req;

@@ -31,9 +31,7 @@ std::unique_ptr<CompressedColumn> CompressedColumn::Build(
 
   const size_t rle_bytes = runs * 2 * sizeof(uint64_t);
   if (rle_bytes * 2 <= plain_bytes) {
-    col->encoding_ = Encoding::kRle;
-    col->rle_ = RleColumn(values);
-    return col;
+    return BuildAs(std::move(values), Encoding::kRle);
   }
   if (!too_many_distinct) {
     DictionaryColumn dict(values);
@@ -44,6 +42,19 @@ std::unique_ptr<CompressedColumn> CompressedColumn::Build(
     }
   }
   col->plain_ = std::move(values);
+  return col;
+}
+
+std::unique_ptr<CompressedColumn> CompressedColumn::BuildAs(
+    std::vector<Value> values, Encoding encoding) {
+  auto col = std::unique_ptr<CompressedColumn>(new CompressedColumn());
+  col->size_ = values.size();
+  col->encoding_ = encoding;
+  switch (encoding) {
+    case Encoding::kPlain: col->plain_ = std::move(values); break;
+    case Encoding::kDictionary: col->dict_ = DictionaryColumn(values); break;
+    case Encoding::kRle: col->rle_ = RleColumn(values); break;
+  }
   return col;
 }
 

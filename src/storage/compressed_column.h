@@ -28,6 +28,12 @@ class CompressedColumn {
   static std::unique_ptr<CompressedColumn> Build(std::vector<Value> values,
                                                  bool try_compress);
 
+  /// Build `values` in a given encoding, skipping the choice: a
+  /// demand load rebuilds the encoding its page's first Build chose
+  /// (Build is deterministic, so the result is identical).
+  static std::unique_ptr<CompressedColumn> BuildAs(std::vector<Value> values,
+                                                   Encoding encoding);
+
   Value Get(size_t i) const {
     switch (encoding_) {
       case Encoding::kPlain: return plain_[i];

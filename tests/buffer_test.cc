@@ -14,9 +14,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +34,7 @@
 #include "core/query.h"
 #include "core/table.h"
 #include "log/framed_log.h"
+#include "obs/trace.h"
 #include "storage/compressed_column.h"
 #include "storage/compression/varint.h"
 
@@ -297,22 +301,31 @@ TEST(BufferPoolTest, RestartMapsSegmentsLazilyAndColdReadsWork) {
   EXPECT_LE(after_open.bytes_resident,
             after_open.budget_bytes + 16384);  // transient pin slack
 
-  // A cold point read demand-loads exactly its range's segments and
-  // returns the right row.
-  uint64_t misses_before = db->buffer_stats().misses;
+  // A cold point read is served by verified cold slot reads of its
+  // range's segments (no hydration) and returns the right row.
+  uint64_t cold_before = db->buffer_stats().cold_point_reads;
   Txn txn = t->Begin();
   std::vector<Value> row;
   ASSERT_TRUE(t->Read(txn, 3777, 0b0110, &row).ok());
   EXPECT_EQ(row[1], 3778u);
   EXPECT_EQ(row[2], 2u * 3777);
   ASSERT_TRUE(txn.Commit().ok());
-  EXPECT_GT(db->buffer_stats().misses, misses_before);
+  EXPECT_GT(db->buffer_stats().cold_point_reads, cold_before);
 
   // Full scan over the mostly cold table is exact.
   uint64_t sum = 0, nrows = 0;
   ASSERT_TRUE(t->NewQuery().Sum(1, &sum, &nrows).ok());
   EXPECT_EQ(nrows, kRows);
   EXPECT_EQ(sum, kRows * (kRows + 1) / 2);
+
+  // Every demand load (open-time rebuild and scan alike) is timed.
+  MetricsSnapshot m = db->Metrics();
+  const auto* load_ns = m.FindHistogram("lstore_buffer_load_ns");
+  ASSERT_NE(load_ns, nullptr);
+  if (kTraceEnabled) {
+    EXPECT_GE(load_ns->hist.count, db->buffer_stats().misses);
+    EXPECT_GT(load_ns->hist.sum, 0u);
+  }
 
   db.reset();
   std::filesystem::remove_all(dir);
@@ -457,87 +470,248 @@ TEST(BufferPoolTest, ResidentModeMatchesBufferedResults) {
   }
 }
 
+/// A swapped, never-resident page over `payload` appended to `store`.
+std::unique_ptr<SegmentPage> SwappedPage(SegmentStore& store,
+                                         EpochManager& epochs,
+                                         const std::string& payload,
+                                         uint32_t slots, SwapFormat format,
+                                         uint32_t width) {
+  uint64_t off = 0;
+  EXPECT_TRUE(store.Append(payload, &off).ok());
+  auto page = std::make_unique<SegmentPage>(&epochs, slots, true);
+  page->SetSwap(&store, off, payload.size(),
+                Fnv1a32(payload.data(), payload.size()), format, width);
+  return page;
+}
+
 TEST(BufferPoolTest, ColdSlotReadDecodesOneSlotWithoutInflating) {
-  // Unit-level: a fixed-width swapped page serves single-slot reads
-  // from the store without hydrating; a varint page declines.
+  // Unit-level: a block-layout swapped page serves single-slot reads
+  // from the store without hydrating; other layouts decline.
   SegmentStore store;
   ASSERT_TRUE(store.OpenTemp().ok());
   EpochManager epochs;
-  constexpr uint32_t kSlots = 300;
-  // Fixed payload: [count varint][width byte][values LE], width 2.
+  constexpr uint32_t kSlots = 300;  // 4 full blocks + a 44-slot tail
+  // [count varint][width byte], then per block of kFixedBlockSlots
+  // values: the values LE, width 2, followed by their FNV-1a32.
   std::string fixed;
   PutVarint64(&fixed, kSlots);
   fixed.push_back(2);
-  for (uint32_t i = 0; i < kSlots; ++i) {
-    uint64_t v = 20000 + i;
-    fixed.push_back(static_cast<char>(v & 0xff));
-    fixed.push_back(static_cast<char>((v >> 8) & 0xff));
+  for (uint32_t first = 0; first < kSlots; first += kFixedBlockSlots) {
+    const size_t start = fixed.size();
+    for (uint32_t i = first; i < std::min(kSlots, first + kFixedBlockSlots);
+         ++i) {
+      uint64_t v = 20000 + i;
+      fixed.push_back(static_cast<char>(v & 0xff));
+      fixed.push_back(static_cast<char>((v >> 8) & 0xff));
+    }
+    uint32_t crc = Fnv1a32(fixed.data() + start, fixed.size() - start);
+    fixed.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
   }
-  uint64_t off = 0;
-  ASSERT_TRUE(store.Append(fixed, &off).ok());
-  SegmentPage page(&epochs, kSlots, /*compress=*/true);
-  page.SetSwap(&store, off, fixed.size(), Fnv1a32(fixed.data(), fixed.size()),
-               SwapFormat::kFixed, 2);
-  for (uint32_t slot : {0u, 1u, 137u, kSlots - 1}) {
+  auto page =
+      SwappedPage(store, epochs, fixed, kSlots, SwapFormat::kFixedBlocks, 2);
+  for (uint32_t slot : {0u, 1u, 63u, 64u, 137u, kSlots - 1}) {
     Value v = 0;
-    ASSERT_TRUE(BufferPool::ReadColdSlot(&page, slot, &v));
+    ASSERT_TRUE(BufferPool::ReadColdSlot(page.get(), slot, &v));
     EXPECT_EQ(v, 20000u + slot);
   }
-  EXPECT_FALSE(page.resident());  // never inflated
+  EXPECT_FALSE(page->resident());  // never inflated
   Value v = 0;
-  EXPECT_FALSE(BufferPool::ReadColdSlot(&page, kSlots, &v));  // OOB
+  EXPECT_FALSE(BufferPool::ReadColdSlot(page.get(), kSlots, &v));  // OOB
 
-  // Full hydration of the same fixed payload decodes identically.
+  // Full hydration of the same payload decodes identically.
   bool won = false;
-  const CompressedColumn* col = BufferPool::LoadColdPayload(&page, &won);
+  const CompressedColumn* col = BufferPool::LoadColdPayload(page.get(), &won);
   ASSERT_TRUE(won);
   for (uint32_t slot = 0; slot < kSlots; ++slot) {
     EXPECT_EQ(col->Get(slot), 20000u + slot);
   }
   // Resident now: the cold path declines and the pin path serves.
-  EXPECT_FALSE(BufferPool::ReadColdSlot(&page, 0, &v));
+  EXPECT_FALSE(BufferPool::ReadColdSlot(page.get(), 0, &v));
 
   // Varint-coded page: cold slot reads decline (full-inflate path).
   std::string varint;
   PutVarint64(&varint, 4u);
   for (uint64_t x : {1u, 2u, 3u, 4u}) PutVarint64(&varint, x);
-  ASSERT_TRUE(store.Append(varint, &off).ok());
-  SegmentPage vp(&epochs, 4, true);
-  vp.SetSwap(&store, off, varint.size(),
-             Fnv1a32(varint.data(), varint.size()));
-  EXPECT_FALSE(BufferPool::ReadColdSlot(&vp, 1, &v));
+  auto vp = SwappedPage(store, epochs, varint, 4, SwapFormat::kVarint, 0);
+  EXPECT_FALSE(BufferPool::ReadColdSlot(vp.get(), 1, &v));
+
+  // The unchecked fixed layout of older checkpoints: its slot bytes
+  // carry no checksum, so it is never read slot by slot — it hydrates.
+  std::string legacy;
+  PutVarint64(&legacy, 3u);
+  legacy.push_back(4);
+  for (uint32_t x : {70000u, 70001u, 70002u}) {
+    legacy.append(reinterpret_cast<const char*>(&x), 4);
+  }
+  auto lp = SwappedPage(store, epochs, legacy, 3, SwapFormat::kFixed, 4);
+  EXPECT_FALSE(BufferPool::ReadColdSlot(lp.get(), 1, &v));
+  col = BufferPool::LoadColdPayload(lp.get(), &won);
+  ASSERT_TRUE(won);
+  for (uint32_t slot = 0; slot < 3; ++slot) {
+    EXPECT_EQ(col->Get(slot), 70000u + slot);
+  }
+  epochs.DrainAllUnsafe();
+}
+
+TEST(BufferPoolTest, ColdSlotReadMatchesHydrationAtEveryWidth) {
+  // Byte-exact widths: each width 1–8 at its boundary values
+  // 2^(8w-8) and 2^(8w)-1 is written as checksummed blocks, and a
+  // cold slot read returns exactly the hydrated value.
+  SegmentStore store;
+  ASSERT_TRUE(store.OpenTemp().ok());
+  EpochManager epochs;
+  constexpr uint32_t kSlots = 150;
+  for (uint32_t w = 1; w <= 8; ++w) {
+    SCOPED_TRACE("width " + std::to_string(w));
+    const Value lo = Value{1} << (8 * w - 8);
+    const Value hi = w == 8 ? ~Value{0} : (Value{1} << (8 * w)) - 1;
+    std::vector<Value> vals;
+    for (uint32_t i = 0; i < kSlots; ++i) vals.push_back(i % 2 ? hi : lo + i);
+    SwapFormat format = SwapFormat::kVarint;
+    uint32_t width = 0;
+    const std::string payload = EncodeSwapPayload(vals, &format, &width);
+    ASSERT_EQ(format, SwapFormat::kFixedBlocks);
+    ASSERT_EQ(width, w);
+    auto page = SwappedPage(store, epochs, payload, kSlots, format, width);
+    // Fewer than kColdReadPromotion reads: none may decline.
+    const uint32_t probe[] = {0, 1, 63, 64, 128, kSlots - 1};
+    static_assert(std::size(probe) <= BufferPool::kColdReadPromotion);
+    Value cold[std::size(probe)] = {};
+    for (size_t i = 0; i < std::size(probe); ++i) {
+      ASSERT_TRUE(BufferPool::ReadColdSlot(page.get(), probe[i], &cold[i]));
+    }
+    bool won = false;
+    const CompressedColumn* col = BufferPool::LoadColdPayload(page.get(), &won);
+    for (uint32_t slot = 0; slot < kSlots; ++slot) {
+      ASSERT_EQ(col->Get(slot), vals[slot]);
+    }
+    for (size_t i = 0; i < std::size(probe); ++i) {
+      EXPECT_EQ(cold[i], col->Get(probe[i]));
+    }
+  }
+  epochs.DrainAllUnsafe();
+}
+
+TEST(BufferPoolTest, ColdSlotReadNeverServesACorruptBlock) {
+  // A flipped byte inside one block makes every slot of that block
+  // decline (the pin path would verify the whole payload and fail
+  // stop); the other blocks still verify and serve.
+  SegmentStore store;
+  ASSERT_TRUE(store.OpenTemp().ok());
+  EpochManager epochs;
+  constexpr uint32_t kSlots = 200;
+  std::vector<Value> vals;
+  for (uint32_t i = 0; i < kSlots; ++i) vals.push_back(100000 + i);
+  SwapFormat format = SwapFormat::kVarint;
+  uint32_t width = 0;
+  std::string payload = EncodeSwapPayload(vals, &format, &width);
+  ASSERT_EQ(format, SwapFormat::kFixedBlocks);
+  ASSERT_EQ(width, 3u);
+  const size_t header = VarintLength(kSlots) + 1;
+  const size_t block_bytes = kFixedBlockSlots * width + sizeof(uint32_t);
+  // Corrupt slot 70's value (block 1) and block 2's checksum; the page
+  // metadata keeps the checksum of the bytes as written.
+  const uint32_t whole = Fnv1a32(payload.data(), payload.size());
+  payload[header + block_bytes + (70 - 64) * width] ^= 0x01;
+  payload[header + 3 * block_bytes - 1] ^= 0x80;
+  uint64_t off = 0;
+  ASSERT_TRUE(store.Append(payload, &off).ok());
+  SegmentPage page(&epochs, kSlots, true);
+  page.SetSwap(&store, off, payload.size(), whole, format, width);
+  for (uint32_t slot : {70u, 64u, 150u}) {
+    Value v = 12345;
+    EXPECT_FALSE(BufferPool::ReadColdSlot(&page, slot, &v)) << slot;
+    EXPECT_EQ(v, 12345u) << slot;
+  }
+  for (uint32_t slot : {0u, 63u, 199u}) {
+    Value v = 0;
+    ASSERT_TRUE(BufferPool::ReadColdSlot(&page, slot, &v)) << slot;
+    EXPECT_EQ(v, 100000u + slot);
+  }
+  EXPECT_FALSE(page.resident());
+  epochs.DrainAllUnsafe();
+}
+
+TEST(BufferPoolTest, OutOfRangeWidthsAreDeclinedNotDecoded) {
+  // Widths 0 and 9 fit no layout: ReadColdSlot declines them (no
+  // shift by 64, no read past the block), and the checkpoint decoder
+  // rejects such segment refs.
+  SegmentStore store;
+  ASSERT_TRUE(store.OpenTemp().ok());
+  EpochManager epochs;
+  std::string payload;
+  PutVarint64(&payload, 8u);
+  payload.push_back(9);
+  payload.append(8 * 9 + 4, '\x5a');
+  for (uint32_t width : {0u, 9u}) {
+    for (SwapFormat format : {SwapFormat::kFixed, SwapFormat::kFixedBlocks}) {
+      auto page = SwappedPage(store, epochs, payload, 8, format, width);
+      Value v = 7;
+      EXPECT_FALSE(BufferPool::ReadColdSlot(page.get(), 3, &v));
+      EXPECT_EQ(v, 7u);
+      EXPECT_FALSE(ValidSwapLayout(static_cast<uint64_t>(format), width));
+    }
+  }
+  EXPECT_TRUE(ValidSwapLayout(0, 0));
+  EXPECT_FALSE(ValidSwapLayout(0, 4));
+  EXPECT_TRUE(ValidSwapLayout(1, 8));
+  EXPECT_TRUE(ValidSwapLayout(2, 1));
+  EXPECT_FALSE(ValidSwapLayout(3, 4));
   epochs.DrainAllUnsafe();
 }
 
 TEST(BufferPoolTest, PointReadMissOnFixedSegmentSkipsInflation) {
-  // Values in [2^14, 2^16): 3-byte varints vs 2-byte fixed width, so
-  // the write-through picks the fixed layout and a cold point read
-  // costs O(1) — counted by stats().cold_point_reads, with no
-  // corresponding full-segment miss for the data column.
+  // Values in [2^14, 2^16): 3-byte varints vs 2-byte fixed width, and
+  // 48-bit values in column 3: 7-byte varints vs 6-byte fixed width.
+  // The write-through picks the block layout for every column, so a
+  // cold point read costs O(1) — counted by stats().cold_point_reads,
+  // with no full-segment miss.
   constexpr uint64_t kRows = 2000;
+  constexpr Value k48 = Value{1} << 47;
   PooledTable pt(/*budget=*/2048);
   {
     Txn txn = pt.table->Begin();
     std::vector<std::vector<Value>> batch;
     for (Value k = 0; k < kRows; ++k) {
-      batch.push_back({k, 20000 + k, 40000 + k, 30000 + (k % 7)});
+      batch.push_back({k, 20000 + k, 40000 + k, k48 + k});
     }
     ASSERT_TRUE(pt.table->InsertBatch(txn, batch).ok());
     ASSERT_TRUE(txn.Commit().ok());
   }
   pt.table->FlushAll();
   pt.pool.EnforceBudget();  // everything clean + unpinned: go cold
+  const uint64_t misses_cold = pt.pool.stats().misses;
 
+  // Never-updated rows: visibility, the base-resident fallback and the
+  // row values are all cold slot reads.
   Txn txn = pt.table->Begin();
   for (Value k : {Value{3}, Value{777}, Value{kRows - 1}}) {
     std::vector<Value> row;
-    ASSERT_TRUE(pt.table->Read(txn, k, 0b0110, &row).ok());
+    ASSERT_TRUE(pt.table->Read(txn, k, 0b1110, &row).ok());
     EXPECT_EQ(row[1], 20000 + k);
     EXPECT_EQ(row[2], 40000 + k);
+    EXPECT_EQ(row[3], k48 + k);
   }
   ASSERT_TRUE(txn.Commit().ok());
   BufferPoolStats s = pt.pool.stats();
   EXPECT_GT(s.cold_point_reads, 0u);
+  EXPECT_EQ(s.misses, misses_cold);
+
+  // A first update of a cold 48-bit column captures the pre-image
+  // (Lemma 2) from a cold slot read, not a hydration.
+  {
+    Txn up = pt.table->Begin();
+    std::vector<Value> row = {1500, 0, 0, k48 + 7};
+    ASSERT_TRUE(pt.table->Update(up, 1500, 0b1000, row).ok());
+    ASSERT_TRUE(up.Commit().ok());
+    EXPECT_EQ(pt.pool.stats().misses, misses_cold);
+    Txn check = pt.table->Begin();
+    std::vector<Value> got;
+    ASSERT_TRUE(pt.table->Read(check, 1500, 0b1010, &got).ok());
+    EXPECT_EQ(got[1], 20000u + 1500);
+    EXPECT_EQ(got[3], k48 + 7);
+    ASSERT_TRUE(check.Commit().ok());
+  }
 
   // Promotion: hammering one key's segments past the cold-read budget
   // hydrates them, so the burst's cold reads are bounded by the
