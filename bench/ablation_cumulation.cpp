@@ -78,9 +78,13 @@ int main(int argc, char** argv) {
     double upd_per_s =
         updates / std::chrono::duration<double>(t1 - t0).count();
 
-    uint64_t hops_before = table.stats().tail_chain_hops.load();
+    auto tail_hops = [&table] {
+      return table.metrics()->Snapshot().CounterValue(
+          "lstore_read_tail_hops_total");
+    };
+    uint64_t hops_before = tail_hops();
     double read_us = MeasureReads(table, kRows, 2000);
-    uint64_t hops = table.stats().tail_chain_hops.load() - hops_before;
+    uint64_t hops = tail_hops() - hops_before;
 
     const char* mode = cumulative ? "cumulative" : "non-cumulative";
     std::printf("%-18s %18.2f %20.0f %14.2f\n", mode, read_us, upd_per_s,

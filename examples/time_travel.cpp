@@ -73,7 +73,8 @@ int main() {
     }
     std::printf("historic compressions: %llu\n",
                 static_cast<unsigned long long>(
-                    inventory.stats().historic_compressions.load()));
+                    inventory.metrics()->Snapshot().CounterValue(
+                        "lstore_merge_historic_runs_total")));
     // Table destructs here = clean shutdown. Now simulate restart.
   }
 

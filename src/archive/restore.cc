@@ -37,7 +37,7 @@
 #include "log/commit_log.h"
 #include "log/framed_log.h"
 #include "log/redo_log.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 
 namespace lstore {
 
@@ -113,9 +113,12 @@ Status StitchSegments(const std::vector<ArchiveSegment>& segments,
 Status Database::RestoreToPoint(const std::string& dir,
                                 const RestorePoint& point,
                                 std::unique_ptr<Database>* out) {
-  // Manual timing: the duration lands in the RESTORED database's
-  // registry, which only exists on the success path.
-  uint64_t restore_t0 = kTraceEnabled ? NowNanos() : 0;
+  // The duration lands in the RESTORED database's registry (a failed
+  // restore discards both).
+  auto db = std::unique_ptr<Database>(new Database());
+  Stage stage(db->metrics_.GetHistogram("lstore_restore_ns",
+                                        "Point-in-time restore duration (ns)"),
+              nullptr);
   std::vector<CatalogEntry> catalog;
   bool catalog_exists = false;
   LSTORE_RETURN_IF_ERROR(ReadCatalog(dir, &catalog, &catalog_exists));
@@ -213,13 +216,11 @@ Status Database::RestoreToPoint(const std::string& dir,
   }
 
   // --- steps 3+4: per-table stitched recovery ------------------------------
-  auto db = std::unique_ptr<Database>(new Database());
   for (const CatalogEntry& ce : catalog) {
     TableConfig cfg = ce.config;
     cfg.enable_logging = false;
     cfg.log_path.clear();
     cfg.sync_commit = false;
-    cfg.sync_counter = nullptr;
     cfg.buffer_pool = nullptr;
     cfg.segment_store = nullptr;
     std::string segs_path = dir + "/" + ce.name + ".segs";
@@ -286,13 +287,7 @@ Status Database::RestoreToPoint(const std::string& dir,
   }
   if (max_commit > 0) db->txn_manager_.clock().AdvanceTo(max_commit + 1);
 
-  if (restore_t0 != 0) {
-    db->metrics_
-        .GetHistogram("lstore_restore_ns",
-                      "Point-in-time restore duration (ns)")
-        ->Record(NowNanos() - restore_t0);
-  }
-
+  stage.End();
   *out = std::move(db);
   return Status::OK();
 }

@@ -16,7 +16,7 @@
 #include "log/redo_log.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 #include "storage/compressed_column.h"
 #include "storage/compression/varint.h"
 
@@ -448,7 +448,7 @@ const CompressedColumn* BufferPool::Load(SegmentPage* page) {
   bool won = false;
   const CompressedColumn* col;
   {
-    LSTORE_TRACE(load_ns_.load(std::memory_order_acquire));
+    Stage stage(load_ns_.load(std::memory_order_acquire), nullptr);
     col = LoadColdPayload(page, &won);
   }
   if (!won) {

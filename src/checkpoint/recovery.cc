@@ -288,7 +288,7 @@ Status Table::RecoverDurable(
   // Resume logging (append mode).
   if (config_.enable_logging && !config_.log_path.empty()) {
     log_ = std::make_unique<RedoLog>();
-    log_->set_sync_counter(config_.sync_counter);
+    log_->set_metrics(obs_.redo);
     LSTORE_RETURN_IF_ERROR(log_->Open(config_.log_path, /*truncate=*/false));
   }
   return Status::OK();

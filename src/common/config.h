@@ -70,10 +70,6 @@ struct TableConfig {
   /// fsync the log on commit (group commit still batches writes).
   bool sync_commit = false;
 
-  /// Test hook: counts every Flush(sync=true) fsync of this table's
-  /// redo log (nullptr = off). Not persisted to the catalog.
-  std::atomic<uint64_t>* sync_counter = nullptr;
-
   /// Buffer-managed base storage (src/buffer/): the pool that owns the
   /// table's base-segment frames and the swap store behind them. Wired
   /// by the owning Database (buffer_pool_bytes > 0) or by tests; both
@@ -136,11 +132,6 @@ struct DurabilityOptions {
   /// leader's flush is in flight.
   uint64_t group_commit_window_us = 0;
 
-  /// Test hook: counts every commit-path fsync (commit log and every
-  /// table redo log) so group-commit tests can assert that concurrent
-  /// committers share fsyncs (nullptr = off).
-  std::atomic<uint64_t>* sync_counter = nullptr;
-
   /// Byte budget of the database-wide buffer pool for read-optimized
   /// base segments (src/buffer/buffer_pool.h). 0 = no pool: base
   /// pages stay fully resident, exactly the pre-buffer behavior.
@@ -194,10 +185,12 @@ struct DurabilityOptions {
   /// traced requests only — untraced requests have no timeline to dump.
   uint64_t slow_op_threshold_us = 0;
 
-  /// Size bound of <dir>/slowops.log: once the file reaches this many
-  /// bytes it rotates to slowops.log.1 before the next dump (the pair
-  /// bounds disk at ~2x the limit). 0 (default) = unbounded.
-  uint64_t slow_op_log_max_bytes = 0;
+  /// Size bound of each JSON-lines log in the directory (metrics.log,
+  /// slowops.log, events.log; src/obs/json_lines.h): once a file
+  /// reaches this many bytes it rotates to <name>.1 before the next
+  /// line, so each pair bounds disk at ~2x the limit. 0 (default) =
+  /// unbounded.
+  uint64_t obs_log_max_bytes = 0;
 
   /// Watchdog sweep interval (src/obs/health.h): every this many
   /// milliseconds the background watchdog classifies each registered
@@ -215,10 +208,9 @@ struct DurabilityOptions {
 
   /// Structured event log (src/obs/event_log.h): lifecycle events go
   /// to a bounded in-memory ring of this many entries plus (durable
-  /// databases) JSON lines in <dir>/events.log, size-rotated to
-  /// events.log.1 past `event_log_max_bytes` (0 = unbounded file).
+  /// databases) JSON lines in <dir>/events.log, size-rotated past
+  /// `obs_log_max_bytes`.
   uint64_t event_ring_capacity = 256;
-  uint64_t event_log_max_bytes = 0;
 
   /// Eagerly verify every segment-store byte range the checkpoint
   /// references during Open (reads the ranges back and checks their

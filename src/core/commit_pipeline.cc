@@ -5,7 +5,6 @@
 
 #include "core/table.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 
 namespace lstore {
 
@@ -107,18 +106,19 @@ Status GroupCommitQueue::Commit(Transaction* txn, Timestamp commit_time,
 void GroupCommitQueue::ProcessBatch(const std::vector<Request*>& batch) {
   std::lock_guard<std::mutex> window(window_mu_);
   HeartbeatWorkScope work(hb_.get());
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  if (batches_total_ != nullptr) batches_total_->Add(1);
-  if (batch_size_ != nullptr) batch_size_->Record(batch.size());
+  batches_total_->Add(1);
+  batch_size_->Record(batch.size());
   if (kTraceEnabled) {
     uint64_t now = NowNanos();
     for (Request* r : batch) {
       uint64_t wait_ns = now - r->enqueue_ns;
-      if (queue_wait_ns_ != nullptr) queue_wait_ns_->Record(wait_ns);
+      queue_wait_ns_->Record(wait_ns);
       RecordSpan(r->trace_id, "gc_queue_wait", r->enqueue_ns, wait_ns);
     }
   }
-  uint64_t fanout_t0 = kTraceEnabled ? NowNanos() : 0;
+  // The leader times each shared window once; every traced request in
+  // the batch gets that window on its own timeline (that IS its wait).
+  Stage fanout(fanout_flush_ns_, nullptr);
 
   // 1. Flush every distinct table log touched by the batch exactly
   // once: the payloads (and single-table commit records) of every
@@ -145,14 +145,9 @@ void GroupCommitQueue::ProcessBatch(const std::vector<Request*>& batch) {
       }
     }
   }
-  if (kTraceEnabled) {
-    uint64_t fanout_dur = NowNanos() - fanout_t0;
-    if (fanout_flush_ns_ != nullptr) fanout_flush_ns_->Record(fanout_dur);
-    // The fan-out is shared work: every traced request in the batch
-    // gets the whole window on its timeline (that IS its wait).
-    for (Request* r : batch) {
-      RecordSpan(r->trace_id, "log_flush", fanout_t0, fanout_dur);
-    }
+  uint64_t fanout_ns = fanout.End();
+  for (Request* r : batch) {
+    RecordSpan(r->trace_id, "log_flush", fanout.t0_ns(), fanout_ns);
   }
 
   // 2. One commit-log record per surviving cross-table request; the
@@ -165,17 +160,12 @@ void GroupCommitQueue::ProcessBatch(const std::vector<Request*>& batch) {
     }
   }
   if (any_cross) {
-    uint64_t flush_t0 = kTraceEnabled ? NowNanos() : 0;
+    Stage flush(commit_log_flush_ns_, nullptr);
     Status cs = commit_log_->Flush(sync_);
-    if (kTraceEnabled) {
-      uint64_t flush_dur = NowNanos() - flush_t0;
-      if (commit_log_flush_ns_ != nullptr) {
-        commit_log_flush_ns_->Record(flush_dur);
-      }
-      for (Request* r : batch) {
-        if (r->cross && r->result.ok()) {
-          RecordSpan(r->trace_id, "commit_fsync", flush_t0, flush_dur);
-        }
+    uint64_t flush_ns = flush.End();
+    for (Request* r : batch) {
+      if (r->cross && r->result.ok()) {
+        RecordSpan(r->trace_id, "commit_fsync", flush.t0_ns(), flush_ns);
       }
     }
     if (!cs.ok()) {
@@ -212,7 +202,7 @@ Status CommitAcrossTables(TransactionManager& tm, Transaction* txn,
   for (Table* t : readers) {
     Status s = t->ValidateReads(txn, commit_time);
     if (!s.ok()) {
-      t->stats().validation_aborts.fetch_add(1, std::memory_order_relaxed);
+      t->obs_.validation_aborts->Increment();
       AbortAcrossTables(tm, txn, writers);
       return s;
     }
@@ -257,7 +247,8 @@ Status CommitAcrossTables(TransactionManager& tm, Transaction* txn,
   Table* metered = !writers.empty() ? writers[0]
                    : !readers.empty() ? readers[0]
                                       : nullptr;
-  uint64_t publish_t0 = (kTraceEnabled && metered != nullptr) ? NowNanos() : 0;
+  Stage publish(metered != nullptr ? metered->obs_.commit_publish_ns : nullptr,
+                nullptr);
   tm.MarkCommitted(txn);
 
   // 5. Post-commit: stamp Start Time slots so the manager entry can
@@ -265,12 +256,7 @@ Status CommitAcrossTables(TransactionManager& tm, Transaction* txn,
   for (Table* t : writers) t->StampWrites(txn, commit_time);
   tm.Retire(txn->id());
   txn->set_finished();
-  if (metered != nullptr) {
-    metered->obs_.commits->Add(1);
-    if (publish_t0 != 0) {
-      metered->obs_.commit_publish_ns->Record(NowNanos() - publish_t0);
-    }
-  }
+  if (metered != nullptr) metered->obs_.commits->Add(1);
   return Status::OK();
 }
 

@@ -25,7 +25,6 @@
 #ifndef LSTORE_CORE_COMMIT_PIPELINE_H_
 #define LSTORE_CORE_COMMIT_PIPELINE_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -54,28 +53,27 @@ class TransactionManager;
 /// (DurabilityOptions::group_commit_window_us).
 class GroupCommitQueue {
  public:
-  /// `registry` (optional) receives the stage metrics of every batch:
+  /// `registry` receives the stage metrics of every batch:
   /// per-request queue wait, the leader's table-log flush fan-out and
   /// commit-log flush durations, and batch sizes.
   GroupCommitQueue(CommitLog* commit_log, uint64_t window_us, bool sync,
-                   MetricsRegistry* registry = nullptr)
-      : commit_log_(commit_log), window_us_(window_us), sync_(sync) {
-    if (registry != nullptr) {
-      queue_wait_ns_ = registry->GetHistogram(
-          "lstore_commit_queue_wait_ns",
-          "Group-commit queue wait before the batch leader ran (ns)");
-      fanout_flush_ns_ = registry->GetHistogram(
-          "lstore_commit_fanout_flush_ns",
-          "Leader's table-log flush fan-out per batch (ns)");
-      commit_log_flush_ns_ = registry->GetHistogram(
-          "lstore_commit_log_fsync_ns",
-          "Leader's commit-log flush (the commit point) per batch (ns)");
-      batch_size_ = registry->GetHistogram(
-          "lstore_group_commit_batch_size", "Commits per group-commit batch");
-      batches_total_ = registry->GetCounter(
-          "lstore_group_commit_batches_total", "Group-commit batches led");
-    }
-  }
+                   MetricsRegistry* registry)
+      : commit_log_(commit_log),
+        window_us_(window_us),
+        sync_(sync),
+        queue_wait_ns_(registry->GetHistogram(
+            "lstore_commit_queue_wait_ns",
+            "Group-commit queue wait before the batch leader ran (ns)")),
+        fanout_flush_ns_(registry->GetHistogram(
+            "lstore_commit_fanout_flush_ns",
+            "Leader's table-log flush fan-out per batch (ns)")),
+        commit_log_flush_ns_(registry->GetHistogram(
+            "lstore_commit_log_fsync_ns",
+            "Leader's commit-log flush (the commit point) per batch (ns)")),
+        batch_size_(registry->GetHistogram("lstore_group_commit_batch_size",
+                                           "Commits per group-commit batch")),
+        batches_total_(registry->GetCounter("lstore_group_commit_batches_total",
+                                            "Group-commit batches led")) {}
 
   /// Make `txn` durable: flush `writers`' logs (payloads, plus the
   /// per-table commit record a single-table commit already appended);
@@ -109,12 +107,6 @@ class GroupCommitQueue {
   /// between its table-log flushes and its commit-log flush.
   std::mutex& window_mu() { return window_mu_; }
 
-  /// Number of leader-processed batches (tests: batches < commits
-  /// proves sharing).
-  uint64_t batches() const {
-    return batches_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct Request {
     std::vector<Table*> writers;
@@ -144,15 +136,13 @@ class GroupCommitQueue {
   std::deque<Request*> queue_;
   bool leader_active_ = false;
   std::mutex window_mu_;
-  std::atomic<uint64_t> batches_{0};
   std::shared_ptr<Heartbeat> hb_;  ///< "group_commit" (null until wired)
 
-  /// Registry handles (null when no registry was wired).
-  Histogram* queue_wait_ns_ = nullptr;
-  Histogram* fanout_flush_ns_ = nullptr;
-  Histogram* commit_log_flush_ns_ = nullptr;
-  Histogram* batch_size_ = nullptr;
-  Counter* batches_total_ = nullptr;
+  Histogram* const queue_wait_ns_;
+  Histogram* const fanout_flush_ns_;
+  Histogram* const commit_log_flush_ns_;
+  Histogram* const batch_size_;
+  Counter* const batches_total_;
 };
 
 /// Commit `txn` across whichever of `tables` it actually read or

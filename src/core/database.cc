@@ -18,7 +18,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/reporter.h"
 #include "obs/slow_op_log.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 
 namespace lstore {
 
@@ -164,7 +164,6 @@ Status Database::CreateTable(const std::string& name, Schema schema,
     config.enable_logging = true;
     config.log_path = dir_ + "/" + name + ".log";
     config.sync_commit = durability_.sync_commit;
-    config.sync_counter = durability_.sync_counter;
     std::remove(config.log_path.c_str());
     // A stale swap store of a previously dropped table must not be
     // appended to: its old offsets are garbage for the new table.
@@ -296,7 +295,7 @@ Status Database::Open(const std::string& dir, const DurabilityOptions& opts,
   db->health_.set_default_deadlines(opts.health_slow_ms,
                                     opts.health_stall_ms);
   db->events_.Configure(
-      dir + "/events.log", opts.event_log_max_bytes,
+      dir + "/events.log", opts.obs_log_max_bytes,
       db->metrics_.GetCounter("lstore_events_total",
                               "Structured engine events emitted"),
       opts.event_ring_capacity);
@@ -347,7 +346,6 @@ Status Database::Open(const std::string& dir, const DurabilityOptions& opts,
   const std::string commit_log_path = dir + "/" + kCommitLogFile;
   std::unordered_map<TxnId, Timestamp> db_commits;
   db->commit_log_ = std::make_unique<CommitLog>();
-  db->commit_log_->set_sync_counter(opts.sync_counter);
   {
     FramedLogMetrics clm;
     clm.appends = db->metrics_.GetCounter("lstore_commit_log_appends_total",
@@ -385,7 +383,6 @@ Status Database::Open(const std::string& dir, const DurabilityOptions& opts,
     cfg.enable_logging = true;
     cfg.log_path = dir + "/" + ce.name + ".log";
     cfg.sync_commit = opts.sync_commit;
-    cfg.sync_counter = opts.sync_counter;
     Table* t = nullptr;
     LSTORE_RETURN_IF_ERROR(
         db->CreateTableInternal(ce.name, Schema(ce.columns), cfg, &t));
@@ -435,17 +432,18 @@ Status Database::Open(const std::string& dir, const DurabilityOptions& opts,
     Database* raw = db.get();
     db->reporter_ = std::make_unique<StatsReporter>(
         dir + "/metrics.log", opts.metrics_report_interval_ms,
-        [raw] { return raw->Metrics(); }, db->health_.Register("reporter"));
+        [raw] { return raw->Metrics(); }, db->health_.Register("reporter"),
+        opts.obs_log_max_bytes);
   }
   if (kTraceEnabled && opts.slow_op_threshold_us > 0) {
-    // Same directory (and rotation idiom) as metrics.log; the counter
-    // makes the dumps themselves observable.
+    // Same directory (and JSON-lines writer) as metrics.log; the
+    // counter makes the dumps themselves observable.
     db->slow_op_log_ = std::make_unique<SlowOpLog>(
         dir + "/slowops.log", opts.slow_op_threshold_us,
         db->metrics_.GetCounter(
             "lstore_server_slow_ops_total",
             "Traced requests that exceeded slow_op_threshold_us"),
-        opts.slow_op_log_max_bytes);
+        opts.obs_log_max_bytes);
   }
   db->events_.Emit(EventSeverity::kInfo, "db", "open",
                    "\"tables\":" + std::to_string(catalog.size()));

@@ -120,9 +120,6 @@ class Database : public TxnContext {
   CommitLog* commit_log() { return commit_log_.get(); }
   /// The log archive (null unless DurabilityOptions::archive_enabled).
   ArchiveManager* archive_manager() { return archive_.get(); }
-  /// The group-commit stage shared by every commit on this database
-  /// (null on an in-memory database).
-  GroupCommitQueue* group_commit() { return group_commit_.get(); }
 
   /// Create a table registered under `name`. Fails if the name exists.
   /// On a durable database, logging is forced on (log under the

@@ -21,7 +21,7 @@
 
 #include "common/bitutil.h"
 #include "core/table.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 #include "storage/compression/varint.h"
 
 namespace lstore {
@@ -229,13 +229,15 @@ bool HistoricStore::ResolveColumn(uint32_t slot, uint32_t entry_seq,
 // ---------------------------------------------------------------------------
 
 size_t Table::RunHistoricCompression(Range& r) {
-  // Timed manually — early returns (nothing to compress) are not
-  // samples in the duration histogram.
-  uint64_t compress_t0 = kTraceEnabled ? NowNanos() : 0;
+  // Early returns (nothing to compress) cancel the sample.
+  Stage stage(obs_.merge_historic_ns, nullptr);
   SpinGuard g(r.merge_latch);
   uint32_t old_boundary = r.historic_boundary.load(std::memory_order_acquire);
   uint32_t tps = r.merged_tps.load(std::memory_order_acquire);
-  if (tps < old_boundary) return 0;
+  if (tps < old_boundary) {
+    stage.Cancel();
+    return 0;
+  }
 
   // Only versions outside every active snapshot may move: approximate
   // the oldest query snapshot by the oldest live transaction's begin
@@ -249,7 +251,10 @@ size_t Table::RunHistoricCompression(Range& r) {
   (void)oldest;
 
   uint32_t new_boundary = tps + 1;  // compress everything merged
-  if (new_boundary <= old_boundary) return 0;
+  if (new_boundary <= old_boundary) {
+    stage.Cancel();
+    return 0;
+  }
 
   // Collect versions [old_boundary, new_boundary).
   std::unordered_map<uint32_t, std::vector<HistoricStore::Version>> per_slot;
@@ -289,11 +294,8 @@ size_t Table::RunHistoricCompression(Range& r) {
     delete old_store;
   });
 
-  stats_.historic_compressions.fetch_add(1, std::memory_order_relaxed);
+  obs_.historic_merges->Increment();
   obs_.historic_versions->Add(moved);
-  if (kTraceEnabled) {
-    obs_.merge_historic_ns->Record(NowNanos() - compress_t0);
-  }
   return moved;
 }
 

@@ -15,7 +15,7 @@
 #include "core/historic.h"
 #include "core/table.h"
 #include "obs/health.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 
 namespace lstore {
 
@@ -119,9 +119,9 @@ void MergeManager::Loop() {
 // ---------------------------------------------------------------------------
 
 bool Table::RunInsertMerge(Range& r) {
-  // Timed manually (not an RAII scope) so the no-op early returns do
-  // not dilute the duration histogram with empty calls.
-  uint64_t merge_t0 = kTraceEnabled ? NowNanos() : 0;
+  // No-op early returns cancel the sample so empty calls do not
+  // dilute the duration histogram.
+  Stage stage(obs_.merge_insert_ns, nullptr);
   SpinGuard g(r.merge_latch);
   // Pin the epoch: the pages of the segments we read from may be
   // evicted concurrently (buffer pool), and the handle contract
@@ -129,7 +129,10 @@ bool Table::RunInsertMerge(Range& r) {
   EpochGuard eguard(epochs_);
   uint32_t occ = r.occupied.load(std::memory_order_acquire);
   uint32_t based = r.based.load(std::memory_order_acquire);
-  if (based >= occ) return false;
+  if (based >= occ) {
+    stage.Cancel();
+    return false;
+  }
 
   // Committed prefix of the insert range: stop at the first insert
   // whose transaction is still in flight.
@@ -173,7 +176,10 @@ bool Table::RunInsertMerge(Range& r) {
     }
     new_based = slot + 1;  // already a commit time
   }
-  if (new_based == based) return false;
+  if (new_based == based) {
+    stage.Cancel();
+    return false;
+  }
 
   const uint32_t ncols = schema_.num_columns();
   const uint32_t nphys = ncols + kBaseMetaColumns;
@@ -219,7 +225,7 @@ bool Table::RunInsertMerge(Range& r) {
     BaseSegment* old = r.base[pc].exchange(fresh[pc],
                                            std::memory_order_acq_rel);
     if (old != nullptr) {
-      stats_.segments_retired.fetch_add(1, std::memory_order_relaxed);
+      obs_.segments_retired->Increment();
       epochs_.Retire([old] { delete old; });
     }
   }
@@ -232,11 +238,8 @@ bool Table::RunInsertMerge(Range& r) {
   uint32_t keep_from = new_based + 1;
   epochs_.Retire([rp, keep_from] { rp->inserts.DropRecordsBelow(keep_from); });
 
-  stats_.insert_merges.fetch_add(1, std::memory_order_relaxed);
+  obs_.insert_merges->Increment();
   obs_.insert_rows_merged->Add(new_based - based);
-  if (kTraceEnabled) {
-    obs_.merge_insert_ns->Record(NowNanos() - merge_t0);
-  }
   return true;
 }
 
@@ -266,23 +269,32 @@ struct SlotMergeState {
 }  // namespace
 
 bool Table::RunUpdateMerge(Range& r, ColumnMask data_cols, bool all_columns) {
-  // Timed manually — early returns (nothing to merge) are not samples.
-  uint64_t merge_t0 = kTraceEnabled ? NowNanos() : 0;
+  // Early returns (nothing to merge) cancel the sample.
+  Stage stage(obs_.merge_update_ns, nullptr);
   SpinGuard g(r.merge_latch);
   // Pin the epoch for the whole consolidation: page handles over the
   // old segments require it (see RunInsertMerge).
   EpochGuard eguard(epochs_);
   uint32_t based = r.based.load(std::memory_order_acquire);
-  if (based == 0) return false;  // nothing insert-merged yet
+  if (based == 0) {  // nothing insert-merged yet
+    stage.Cancel();
+    return false;
+  }
 
   const uint32_t ncols = schema_.num_columns();
   BaseSegment* any = r.base[ncols + kBaseSchemaEnc].load(
       std::memory_order_acquire);
-  if (any == nullptr) return false;
+  if (any == nullptr) {
+    stage.Cancel();
+    return false;
+  }
 
   uint32_t old_tps = r.merged_tps.load(std::memory_order_acquire);
   uint32_t last = r.updates.LastSeq();
-  if (last <= old_tps) return false;
+  if (last <= old_tps) {
+    stage.Cancel();
+    return false;
+  }
 
   // Step 1: identify the consecutive committed prefix of tail records
   // beyond the current TPS ("always operating on stable data").
@@ -326,7 +338,10 @@ bool Table::RunUpdateMerge(Range& r, ColumnMask data_cols, bool all_columns) {
     if (slot >= based) break;
     new_tps = seq;
   }
-  if (new_tps == old_tps) return false;
+  if (new_tps == old_tps) {
+    stage.Cancel();
+    return false;
+  }
 
   // Step 3: reverse scan with a seen-set — only the newest version of
   // each (record, column) is consolidated; earlier ones are skipped.
@@ -436,7 +451,7 @@ bool Table::RunUpdateMerge(Range& r, ColumnMask data_cols, bool all_columns) {
     BaseSegment* old = r.base[pc].exchange(fresh[pc],
                                            std::memory_order_acq_rel);
     if (old != nullptr) {
-      stats_.segments_retired.fetch_add(1, std::memory_order_relaxed);
+      obs_.segments_retired->Increment();
       // Step 5: epoch-based de-allocation (Figure 6).
       epochs_.Retire([old] { delete old; });
     }
@@ -454,13 +469,8 @@ bool Table::RunUpdateMerge(Range& r, ColumnMask data_cols, bool all_columns) {
     AtomicMaxU32Local(r.merged_tps, min_tps);
   }
 
-  stats_.merges.fetch_add(1, std::memory_order_relaxed);
-  stats_.tail_records_merged.fetch_add(new_tps - old_tps,
-                                       std::memory_order_relaxed);
+  obs_.update_merges->Increment();
   obs_.merge_rows->Add(new_tps - old_tps);
-  if (kTraceEnabled) {
-    obs_.merge_update_ns->Record(NowNanos() - merge_t0);
-  }
   return true;
 }
 

@@ -107,21 +107,43 @@ Table::Table(std::string name, Schema schema, TableConfig config,
       "lstore_read_repair_exhausted_total",
       "Reads that ran out of optimistic repairs and resolved under the "
       "range's merge latch");
+  obs_.inserts = metrics_->GetCounter("lstore_inserts_total",
+                                      "Records inserted");
+  obs_.updates = metrics_->GetCounter(
+      "lstore_updates_total", "Tail versions written (updates and deletes)");
+  obs_.deletes = metrics_->GetCounter("lstore_deletes_total",
+                                      "Records deleted");
+  obs_.reads = metrics_->GetCounter("lstore_reads_total",
+                                    "Transactional point reads");
+  obs_.tail_hops = metrics_->GetCounter(
+      "lstore_read_tail_hops_total",
+      "Versions a read resolved from tail pages or the historic store");
+  obs_.ww_aborts = metrics_->GetCounter(
+      "lstore_aborts_ww_total", "Writes refused by a write-write conflict");
+  obs_.validation_aborts = metrics_->GetCounter(
+      "lstore_aborts_validation_total", "Commits that failed OCC validation");
+  obs_.update_merges = metrics_->GetCounter("lstore_merge_update_runs_total",
+                                            "Update merges completed");
+  obs_.insert_merges = metrics_->GetCounter("lstore_merge_insert_runs_total",
+                                            "Insert merges completed");
+  obs_.historic_merges = metrics_->GetCounter(
+      "lstore_merge_historic_runs_total", "Historic compressions completed");
+  obs_.segments_retired = metrics_->GetCounter(
+      "lstore_merge_segments_retired_total",
+      "Base segments replaced by a merge");
   if (config_.enable_logging && !config_.log_path.empty()) {
     log_ = std::make_unique<RedoLog>();
-    log_->set_sync_counter(config_.sync_counter);
-    FramedLogMetrics lm;
-    lm.appends = metrics_->GetCounter("lstore_redo_appends_total",
-                                      "Redo-log record frames appended");
-    lm.append_bytes = metrics_->GetCounter("lstore_redo_append_bytes_total",
-                                           "Redo-log framed bytes appended");
-    lm.fsyncs = metrics_->GetCounter("lstore_redo_fsyncs_total",
-                                     "Redo-log commit-path fsyncs");
-    lm.append_ns = metrics_->GetHistogram("lstore_redo_append_ns",
-                                          "Redo-log append latency (ns)");
-    lm.flush_ns = metrics_->GetHistogram("lstore_redo_flush_ns",
-                                         "Redo-log flush latency (ns)");
-    log_->set_metrics(lm);
+    obs_.redo.appends = metrics_->GetCounter(
+        "lstore_redo_appends_total", "Redo-log record frames appended");
+    obs_.redo.append_bytes = metrics_->GetCounter(
+        "lstore_redo_append_bytes_total", "Redo-log framed bytes appended");
+    obs_.redo.fsyncs = metrics_->GetCounter("lstore_redo_fsyncs_total",
+                                            "Redo-log commit-path fsyncs");
+    obs_.redo.append_ns = metrics_->GetHistogram(
+        "lstore_redo_append_ns", "Redo-log append latency (ns)");
+    obs_.redo.flush_ns = metrics_->GetHistogram("lstore_redo_flush_ns",
+                                                "Redo-log flush latency (ns)");
+    log_->set_metrics(obs_.redo);
     Status s = log_->Open(config_.log_path, /*truncate=*/false);
     if (!s.ok()) log_.reset();
   }
@@ -545,7 +567,7 @@ Status Table::ResolveRecordOnce(Range& r, uint32_t slot, const ReadSpec& spec,
       // Continue inside the historic store (Section 4.3).
       HistoricStore* hist = r.historic.load(std::memory_order_acquire);
       if (hist != nullptr) {
-        stats_.tail_chain_hops.fetch_add(1, std::memory_order_relaxed);
+        obs_.tail_hops->Increment();
         auto versions = hist->VersionsOf(slot);
         for (auto it = versions.rbegin(); it != versions.rend(); ++it) {
           if (it->seq > seq) continue;
@@ -589,7 +611,7 @@ Status Table::ResolveRecordOnce(Range& r, uint32_t slot, const ReadSpec& spec,
       seq = back;  // intermediate same-txn version: implicitly invalid
       continue;
     }
-    stats_.tail_chain_hops.fetch_add(1, std::memory_order_relaxed);
+    obs_.tail_hops->Increment();
     if (!first_found) {
       first_found = true;
       if (observed_seq != nullptr) *observed_seq = seq;
@@ -869,7 +891,7 @@ Status Table::InsertImpl(Transaction* txn, const std::vector<Value>& row,
 
   txn->writeset().push_back(
       WriteEntry{r->id, slot, seq, /*is_insert=*/true, row[0], this});
-  stats_.inserts.fetch_add(1, std::memory_order_relaxed);
+  obs_.inserts->Increment();
   MaybeScheduleMerge(*r);
   return Status::OK();
 }
@@ -905,7 +927,7 @@ Status Table::Delete(Transaction* txn, Value key) {
   static const std::vector<Value> kEmpty;
   EpochGuard guard(epochs_);
   Status s = WriteTailVersion(txn, *r, SlotOf(rid), 0, kEmpty, true, nullptr);
-  if (s.ok()) stats_.deletes.fetch_add(1, std::memory_order_relaxed);
+  if (s.ok()) obs_.deletes->Increment();
   return s;
 }
 
@@ -919,7 +941,7 @@ Status Table::WriteTailVersion(Transaction* txn, Range& r, uint32_t slot,
   uint64_t iv = ind.load(std::memory_order_acquire);
   for (;;) {
     if (IndirLatched(iv)) {
-      stats_.ww_aborts.fetch_add(1, std::memory_order_relaxed);
+      obs_.ww_aborts->Increment();
       return Status::Aborted("write-write conflict (latch)");
     }
     if (ind.compare_exchange_weak(iv, iv | kIndirLatchBit,
@@ -954,7 +976,7 @@ Status Table::WriteTailVersion(Transaction* txn, Range& r, uint32_t slot,
     if (view.found && (view.state == TxnState::kActive ||
                        view.state == TxnState::kPreCommit)) {
       ind.store(iv, std::memory_order_release);  // release latch
-      stats_.ww_aborts.fetch_add(1, std::memory_order_relaxed);
+      obs_.ww_aborts->Increment();
       return Status::Aborted("write-write conflict (uncommitted version)");
     }
   }
@@ -1126,7 +1148,7 @@ Status Table::WriteTailVersion(Transaction* txn, Range& r, uint32_t slot,
   // in-place update in the architecture.
   ind.store(new_seq, std::memory_order_release);
 
-  stats_.updates.fetch_add(1, std::memory_order_relaxed);
+  obs_.updates->Increment();
   MaybeScheduleMerge(r);
   return Status::OK();
 }
@@ -1182,7 +1204,7 @@ Status Table::Read(Transaction* txn, Value key, ColumnMask mask,
   Status s = ResolveRecord(*r, SlotOf(rid), spec, mask, out, &observed);
   txn->readset().push_back(
       ReadEntry{r->id, SlotOf(rid), observed, /*speculative=*/false, 0, this});
-  stats_.reads.fetch_add(1, std::memory_order_relaxed);
+  obs_.reads->Increment();
   return s;
 }
 
@@ -1206,7 +1228,7 @@ Status Table::SpeculativeRead(Transaction* txn, Value key, ColumnMask mask,
   TxnId dep = speculated ? txn->commit_dependencies().back() : 0;
   txn->readset().push_back(
       ReadEntry{r->id, SlotOf(rid), observed, speculated, dep, this});
-  stats_.reads.fetch_add(1, std::memory_order_relaxed);
+  obs_.reads->Increment();
   return s;
 }
 
@@ -1266,7 +1288,7 @@ Status Table::MultiRead(Txn& txn, const std::vector<Value>& keys,
     if (!s.ok() && first.ok()) first = s;
     if (statuses != nullptr) (*statuses)[i] = s;
   }
-  stats_.reads.fetch_add(keys.size(), std::memory_order_relaxed);
+  obs_.reads->Add(keys.size());
   return first;
 }
 
@@ -1351,7 +1373,7 @@ Status Table::DeleteBatch(Txn& txn, const std::vector<Value>& keys) {
     }
     s = WriteTailVersion(t, *r, SlotOf(rids[i]), 0, kEmpty, true, sink);
     if (!s.ok()) break;
-    stats_.deletes.fetch_add(1, std::memory_order_relaxed);
+    obs_.deletes->Increment();
   }
   if (sink != nullptr && !recs.empty()) log_->AppendBatch(recs);
   return s;

@@ -100,22 +100,6 @@ enum BaseMetaColumn : uint32_t {
 };
 inline constexpr uint32_t kBaseMetaColumns = 3;
 
-/// Aggregate counters exposed for benchmarks and tests.
-struct TableStats {
-  std::atomic<uint64_t> updates{0};
-  std::atomic<uint64_t> inserts{0};
-  std::atomic<uint64_t> deletes{0};
-  std::atomic<uint64_t> reads{0};
-  std::atomic<uint64_t> ww_aborts{0};          ///< write-write conflicts
-  std::atomic<uint64_t> validation_aborts{0};
-  std::atomic<uint64_t> merges{0};             ///< update merges completed
-  std::atomic<uint64_t> insert_merges{0};
-  std::atomic<uint64_t> tail_records_merged{0};
-  std::atomic<uint64_t> segments_retired{0};
-  std::atomic<uint64_t> historic_compressions{0};
-  std::atomic<uint64_t> tail_chain_hops{0};    ///< reads that left base pages
-};
-
 class Table : public TxnContext {
  public:
   Table(std::string name, Schema schema, TableConfig config,
@@ -257,10 +241,10 @@ class Table : public TxnContext {
   const std::string& name() const { return name_; }
   TransactionManager& txn_manager() { return *txn_manager_; }
   EpochManager& epochs() const { return epochs_; }
-  TableStats& stats() const { return stats_; }
   /// The metrics registry this table records into: the owning
   /// database's (shared across its tables) or an owned one for
-  /// standalone tables — never null.
+  /// standalone tables — never null. Every counter the engine keeps
+  /// (inserts, reads, aborts by reason, merges, ...) lives here.
   MetricsRegistry* metrics() const { return metrics_; }
   /// Buffer pool managing this table's base segments (nullptr = fully
   /// resident base pages).
@@ -548,6 +532,18 @@ class Table : public TxnContext {
     Counter* aborts = nullptr;               ///< pipeline aborts
     Counter* read_repairs = nullptr;         ///< inconsistent re-resolves
     Counter* read_repair_exhausted = nullptr;  ///< latched fallbacks
+    Counter* inserts = nullptr;              ///< records inserted
+    Counter* updates = nullptr;              ///< tail versions written
+    Counter* deletes = nullptr;              ///< records deleted
+    Counter* reads = nullptr;                ///< transactional point reads
+    Counter* tail_hops = nullptr;            ///< versions read off base pages
+    Counter* ww_aborts = nullptr;            ///< write-write conflicts
+    Counter* validation_aborts = nullptr;    ///< failed OCC validations
+    Counter* update_merges = nullptr;        ///< update merges completed
+    Counter* insert_merges = nullptr;        ///< insert merges completed
+    Counter* historic_merges = nullptr;      ///< historic compressions
+    Counter* segments_retired = nullptr;     ///< base segments replaced
+    FramedLogMetrics redo;                   ///< the redo log's handles
   } obs_;
 
   /// The enclosing engine whose sessions are also valid here (the
@@ -596,8 +592,6 @@ class Table : public TxnContext {
   std::unique_ptr<SegmentStore> owned_store_;
   BufferPool* buffer_pool_ = nullptr;
   SegmentStore* segment_store_ = nullptr;
-
-  mutable TableStats stats_;
 };
 
 }  // namespace lstore

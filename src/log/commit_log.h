@@ -23,7 +23,6 @@
 #ifndef LSTORE_LOG_COMMIT_LOG_H_
 #define LSTORE_LOG_COMMIT_LOG_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -80,12 +79,6 @@ class CommitLog {
   Status Flush(bool sync) { return framed_.Flush(sync); }
 
   uint64_t last_lsn() const { return framed_.last_lsn(); }
-
-  /// Test hook: counts fsyncs issued by Flush(sync=true) so group
-  /// commit tests can assert fsync count < committer count.
-  void set_sync_counter(std::atomic<uint64_t>* counter) {
-    framed_.set_sync_counter(counter);
-  }
 
   /// Wire registry metrics (obs/metrics.h) into the framed core.
   void set_metrics(const FramedLogMetrics& m) { framed_.set_metrics(m); }

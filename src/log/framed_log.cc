@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "storage/compression/varint.h"
 
 namespace lstore {
@@ -201,37 +200,28 @@ void FramedLog::Close() {
 
 uint64_t FramedLog::Append(std::string_view payload, uint64_t lsn_count) {
   if (lsn_count == 0) return 0;
-  // Time 1 in 64 appends: a clock read costs as much as the append
-  // itself, and the latency histogram only needs a sample of the
-  // distribution, not every point.
-  uint64_t t0 = 0;
+  // The histogram samples 1 in 64 appends: a clock read costs as much
+  // as the append itself, and the distribution only needs a sample. A
+  // traced request times every one of its appends regardless (its
+  // timeline has to be complete).
+  Histogram* sampled = nullptr;
   if (kTraceEnabled && metrics_.append_ns != nullptr) {
     thread_local uint64_t sample_tick = 0;
-    if ((sample_tick++ & 63) == 0) t0 = NowNanos();
+    if ((sample_tick++ & 63) == 0) sampled = metrics_.append_ns;
   }
-  // A traced request times every one of its appends (its timeline has
-  // to be complete), independent of the 1-in-64 histogram sampling.
-  uint64_t span_trace = kTraceEnabled ? TraceContext::Current() : 0;
-  uint64_t span_t0 = span_trace != 0 ? NowNanos() : 0;
-  uint64_t last;
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    size_t before = buffer_.size();
-    AppendFrame(&buffer_, payload);
-    // Load+store, NOT fetch_add(n)+n: every writer holds mu_ (readers
-    // are lock-free), and gcc 12 miscompiles the fetch_add form with a
-    // variable operand (the xadd clobbers the addend register,
-    // yielding old+old).
-    last = last_lsn_.load(std::memory_order_relaxed) + lsn_count;
-    last_lsn_.store(last, std::memory_order_release);
-    ++pending_appends_;
-    pending_append_bytes_ += buffer_.size() - before;
-    if (pending_appends_ >= 64) PublishPendingLocked();
-  }
-  if (t0 != 0) metrics_.append_ns->Record(NowNanos() - t0);
-  if (span_trace != 0) {
-    RecordSpan(span_trace, "log_append", span_t0, NowNanos() - span_t0);
-  }
+  Stage stage(sampled, "log_append");
+  std::lock_guard<std::mutex> g(mu_);
+  size_t before = buffer_.size();
+  AppendFrame(&buffer_, payload);
+  // Load+store, NOT fetch_add(n)+n: every writer holds mu_ (readers
+  // are lock-free), and gcc 12 miscompiles the fetch_add form with a
+  // variable operand (the xadd clobbers the addend register, yielding
+  // old+old).
+  uint64_t last = last_lsn_.load(std::memory_order_relaxed) + lsn_count;
+  last_lsn_.store(last, std::memory_order_release);
+  ++pending_appends_;
+  pending_append_bytes_ += buffer_.size() - before;
+  if (pending_appends_ >= 64) PublishPendingLocked();
   return last;
 }
 
@@ -267,21 +257,16 @@ Status FramedLog::FlushBufferLocked() {
 }
 
 Status FramedLog::Flush(bool sync) {
-  uint64_t t0 =
-      (kTraceEnabled && metrics_.flush_ns != nullptr) ? NowNanos() : 0;
+  Stage stage(metrics_.flush_ns, nullptr);
   std::lock_guard<std::mutex> g(mu_);
   PublishPendingLocked();  // flush = a snapshot-visible point
   LSTORE_RETURN_IF_ERROR(FlushBufferLocked());
   if (sync) {
-    if (sync_counter_ != nullptr) {
-      sync_counter_->fetch_add(1, std::memory_order_relaxed);
-    }
     if (metrics_.fsyncs != nullptr) metrics_.fsyncs->Add(1);
     if (::fsync(::fileno(file_)) != 0) {
       return Status::IOError("fsync failed");
     }
   }
-  if (t0 != 0) metrics_.flush_ns->Record(NowNanos() - t0);
   return Status::OK();
 }
 

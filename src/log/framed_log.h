@@ -131,13 +131,6 @@ class FramedLog {
     return last_lsn_.load(std::memory_order_acquire);
   }
 
-  /// Test hook: counts fsyncs issued by Flush(sync=true) so group
-  /// commit tests can assert fsync count < committer count. Kept as a
-  /// compatibility shim alongside set_metrics — both are incremented.
-  void set_sync_counter(std::atomic<uint64_t>* counter) {
-    sync_counter_ = counter;
-  }
-
   /// Wire registry metrics (obs/metrics.h). Must be called before the
   /// log sees concurrent use (handles are read without a lock).
   void set_metrics(const FramedLogMetrics& m) { metrics_ = m; }
@@ -200,7 +193,6 @@ class FramedLog {
   std::mutex truncate_mu_;
   std::string buffer_;
   std::atomic<uint64_t> last_lsn_{0};
-  std::atomic<uint64_t>* sync_counter_ = nullptr;
   FramedLogMetrics metrics_;
   uint64_t pending_appends_ = 0;      ///< under mu_, batched to metrics_
   uint64_t pending_append_bytes_ = 0; ///< under mu_, batched to metrics_

@@ -18,7 +18,6 @@
 #ifndef LSTORE_LOG_REDO_LOG_H_
 #define LSTORE_LOG_REDO_LOG_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -109,12 +108,6 @@ class RedoLog {
 
   /// Flush buffered records to the OS; fsync when `sync`.
   Status Flush(bool sync) { return framed_.Flush(sync); }
-
-  /// Test hook: counts fsyncs issued by Flush(sync=true) so group
-  /// commit tests can assert fsync count < committer count.
-  void set_sync_counter(std::atomic<uint64_t>* counter) {
-    framed_.set_sync_counter(counter);
-  }
 
   /// Wire registry metrics (obs/metrics.h) into the framed core.
   void set_metrics(const FramedLogMetrics& m) { framed_.set_metrics(m); }

@@ -1,24 +1,10 @@
 #include "obs/event_log.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 
 namespace lstore {
-
-namespace {
-
-uint64_t WallClockMs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 const char* EventSeverityName(EventSeverity sev) {
   switch (sev) {
@@ -27,29 +13,6 @@ const char* EventSeverityName(EventSeverity sev) {
     case EventSeverity::kError: return "error";
   }
   return "info";
-}
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string RenderEventJson(const Event& e) {
@@ -73,33 +36,13 @@ std::string RenderEventJson(const Event& e) {
   return line;
 }
 
-void AppendLineRotated(const std::string& path, uint64_t max_bytes,
-                       std::string_view line) {
-  if (max_bytes > 0) {
-    struct ::stat st;
-    if (::stat(path.c_str(), &st) == 0 &&
-        static_cast<uint64_t>(st.st_size) >= max_bytes) {
-      // Best effort: a failed rename just lets the file keep growing.
-      std::rename(path.c_str(), (path + ".1").c_str());
-    }
-  }
-  // Open-append-close per line (reporter idiom): rotation-safe, and a
-  // whole line lands in one fwrite so concurrent external readers
-  // never see a torn record.
-  std::FILE* f = std::fopen(path.c_str(), "a");
-  if (f == nullptr) return;
-  std::fwrite(line.data(), 1, line.size(), f);
-  std::fclose(f);
-}
-
 EventLog::EventLog(size_t ring_capacity)
     : ring_capacity_(ring_capacity > 0 ? ring_capacity : 1) {}
 
 void EventLog::Configure(std::string path, uint64_t max_bytes,
                          Counter* events_total, size_t ring_capacity) {
   std::lock_guard<std::mutex> g(mu_);
-  path_ = std::move(path);
-  max_bytes_ = max_bytes;
+  file_ = std::make_shared<JsonLinesFile>(std::move(path), max_bytes);
   events_total_ = events_total;
   if (ring_capacity > 0) {
     ring_capacity_ = ring_capacity;
@@ -117,25 +60,20 @@ void EventLog::Emit(EventSeverity severity, std::string actor,
   e.fields = std::move(fields);
 
   std::string line;
-  std::string path;
-  uint64_t max_bytes = 0;
+  std::shared_ptr<JsonLinesFile> file;
   Counter* counter = nullptr;
   {
     std::lock_guard<std::mutex> g(mu_);
     ++total_;
     counter = events_total_;
-    if (!path_.empty()) {
-      line = RenderEventJson(e);
-      line += '\n';
-      path = path_;
-      max_bytes = max_bytes_;
-    }
+    file = file_;
+    if (file != nullptr) line = RenderEventJson(e);
     ring_.push_back(std::move(e));
     while (ring_.size() > ring_capacity_) ring_.pop_front();
   }
   // File I/O outside the ring lock: emitters (checkpointer, watchdog,
   // server) must never serialize on a disk write they didn't issue.
-  if (!path.empty()) AppendLineRotated(path, max_bytes, line);
+  if (file != nullptr) file->Append(line);
   if (counter != nullptr) counter->Increment();
 }
 
@@ -159,7 +97,7 @@ uint64_t EventLog::total() const {
 
 std::string EventLog::path() const {
   std::lock_guard<std::mutex> g(mu_);
-  return path_;
+  return file_ != nullptr ? file_->path() : std::string();
 }
 
 }  // namespace lstore

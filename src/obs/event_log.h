@@ -12,23 +12,22 @@
 //
 // `fields` is a pre-rendered JSON fragment (`"key":value,...`) the
 // emitter supplies, spliced into the top-level object — events stay
-// flat and grep-able. File writes use the reporter's rotation-safe
-// idiom (open-append-close per line) plus an optional size bound:
-// when the file exceeds `max_bytes` it is renamed to `<path>.1`
-// first, so the pair bounds disk usage at ~2x the limit. Events are
-// rare (lifecycle edges, not per-request), so a mutex-guarded ring is
-// plenty — nothing here is on a hot path.
+// flat and grep-able. The file goes through the shared JSON-lines
+// writer (src/obs/json_lines.h: open-append-close, size rotation to
+// `<path>.1`). Events are rare (lifecycle edges, not per-request), so
+// a mutex-guarded ring is plenty — nothing here is on a hot path.
 
 #ifndef LSTORE_OBS_EVENT_LOG_H_
 #define LSTORE_OBS_EVENT_LOG_H_
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "obs/json_lines.h"
 #include "obs/metrics.h"
 
 namespace lstore {
@@ -55,17 +54,6 @@ struct Event {
 
 /// Render one event as its JSON line (no trailing newline).
 std::string RenderEventJson(const Event& e);
-
-/// Append `line` (newline included by the caller) to `path` with the
-/// rotation-safe open-append-close idiom. With `max_bytes` > 0, a file
-/// already at or beyond the bound is renamed to `<path>.1` (replacing
-/// any previous `.1`) before the append — shared by events.log and
-/// slowops.log so both logs age out the same way.
-void AppendLineRotated(const std::string& path, uint64_t max_bytes,
-                       std::string_view line);
-
-/// Escape `s` for embedding inside a JSON string literal.
-std::string JsonEscape(std::string_view s);
 
 class EventLog {
  public:
@@ -103,8 +91,7 @@ class EventLog {
   mutable std::mutex mu_;
   std::deque<Event> ring_;
   uint64_t total_ = 0;
-  std::string path_;        ///< empty = ring only
-  uint64_t max_bytes_ = 0;  ///< 0 = unbounded file
+  std::shared_ptr<JsonLinesFile> file_;  ///< null = ring only
   Counter* events_total_ = nullptr;
 };
 

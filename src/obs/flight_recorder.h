@@ -33,15 +33,34 @@
 #define LSTORE_OBS_FLIGHT_RECORDER_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "obs/trace.h"
+// The tracing build switch: CMake option LSTORE_TRACING=OFF defines
+// this to 0, compiling every stage timer and span out.
+#ifndef LSTORE_TRACE_ENABLED
+#define LSTORE_TRACE_ENABLED 1
+#endif
 
 namespace lstore {
+
+/// Monotonic clock reading in nanoseconds (steady across suspends of
+/// the wall clock; the only clock timing sites use).
+inline uint64_t NowNanos() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+/// True when tracing is compiled in: code that stamps a cross-thread
+/// window by hand branches on this so a disabled build pays not even
+/// the clock reads.
+inline constexpr bool kTraceEnabled = LSTORE_TRACE_ENABLED != 0;
 
 /// One closed span, as read out of the recorder. Timestamps are
 /// NowNanos() (global monotonic), so spans recorded by different
@@ -64,7 +83,7 @@ class FlightRecorder {
   /// bytes per slot the default is ~320 KB per recording thread.
   static constexpr size_t kDefaultRingCapacity = 8192;
 
-  /// The process-wide recorder every SpanScope/RecordSpan site uses.
+  /// The process-wide recorder every Stage/RecordSpan site uses.
   /// Never destroyed (intentional static leak): detached threads may
   /// release rings into it at any point of shutdown.
   static FlightRecorder& Instance();

@@ -5,18 +5,12 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "obs/trace.h"
+#include "obs/json_lines.h"
+#include "obs/span.h"
 
 namespace lstore {
 
 namespace {
-
-uint64_t WallClockMs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Actor names become file-name components ("merge:orders" ->
 /// "merge_orders"): keep [A-Za-z0-9.-], replace the rest.

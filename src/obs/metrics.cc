@@ -6,17 +6,6 @@
 
 namespace lstore {
 
-namespace obs_internal {
-
-unsigned ShardIndex(unsigned nshards) {
-  static std::atomic<unsigned> next{0};
-  thread_local unsigned slot =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return slot % nshards;
-}
-
-}  // namespace obs_internal
-
 // ---------------------------------------------------------------------------
 // Histogram
 // ---------------------------------------------------------------------------

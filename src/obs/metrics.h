@@ -50,8 +50,13 @@ namespace lstore {
 namespace obs_internal {
 /// Thread-affine shard index in [0, nshards): cheap, stable per
 /// thread, assigned round-robin so shards stay balanced regardless of
-/// how the OS hands out thread ids.
-unsigned ShardIndex(unsigned nshards);
+/// how the OS hands out thread ids. Inline, so a constant `nshards`
+/// folds the modulo and a hot-path Add() makes no call.
+inline unsigned ShardIndex(unsigned nshards) {
+  static std::atomic<unsigned> next{0};
+  thread_local unsigned slot = next.fetch_add(1, std::memory_order_relaxed);
+  return slot % nshards;
+}
 }  // namespace obs_internal
 
 /// Monotonic counter, sharded to keep concurrent Add()s off one cache

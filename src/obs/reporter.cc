@@ -1,14 +1,14 @@
 #include "obs/reporter.h"
 
 #include <chrono>
-#include <cstdio>
 
 namespace lstore {
 
 StatsReporter::StatsReporter(std::string path, uint64_t interval_ms,
                              std::function<MetricsSnapshot()> snapshot_fn,
-                             std::shared_ptr<Heartbeat> hb)
-    : path_(std::move(path)),
+                             std::shared_ptr<Heartbeat> hb,
+                             uint64_t max_bytes)
+    : file_(std::move(path), max_bytes),
       interval_ms_(interval_ms == 0 ? 1 : interval_ms),
       snapshot_fn_(std::move(snapshot_fn)),
       hb_(std::move(hb)) {
@@ -43,14 +43,6 @@ void StatsReporter::Loop() {
   WriteLine();
 }
 
-void StatsReporter::WriteLine() {
-  std::string line = snapshot_fn_().RenderJson();
-  line.push_back('\n');
-  // Open-append-close per tick: rotation-safe by construction.
-  std::FILE* f = std::fopen(path_.c_str(), "a");
-  if (f == nullptr) return;
-  std::fwrite(line.data(), 1, line.size(), f);
-  std::fclose(f);
-}
+void StatsReporter::WriteLine() { file_.Append(snapshot_fn_().RenderJson()); }
 
 }  // namespace lstore

@@ -20,6 +20,7 @@
 #include <thread>
 
 #include "obs/health.h"
+#include "obs/json_lines.h"
 #include "obs/metrics.h"
 
 namespace lstore {
@@ -29,10 +30,12 @@ class StatsReporter {
   /// Starts the thread. `snapshot_fn` is called once per tick on the
   /// reporter thread; it must stay valid until Stop(). `hb` (nullable)
   /// is beaten once per tick so the watchdog can spot a wedged
-  /// reporter.
+  /// reporter. With `max_bytes` > 0 the file rotates to <path>.1 once
+  /// it reaches the bound.
   StatsReporter(std::string path, uint64_t interval_ms,
                 std::function<MetricsSnapshot()> snapshot_fn,
-                std::shared_ptr<Heartbeat> hb = nullptr);
+                std::shared_ptr<Heartbeat> hb = nullptr,
+                uint64_t max_bytes = 0);
   ~StatsReporter() { Stop(); }
 
   StatsReporter(const StatsReporter&) = delete;
@@ -41,13 +44,13 @@ class StatsReporter {
   /// Writes one final line, then joins. Idempotent.
   void Stop();
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return file_.path(); }
 
  private:
   void Loop();
   void WriteLine();
 
-  std::string path_;
+  JsonLinesFile file_;
   uint64_t interval_ms_;
   std::function<MetricsSnapshot()> snapshot_fn_;
   std::shared_ptr<Heartbeat> hb_;

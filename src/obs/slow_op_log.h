@@ -12,8 +12,8 @@
 //
 // Span t0s are monotonic-clock nanoseconds (the recorder's clock), so
 // offsets *within* a line are exact; ts_ms anchors the line in wall
-// time. Writes use the reporter's rotation-safe idiom: open-append-
-// close per line, so `mv slowops.log slowops.log.1` just works.
+// time. Lines go through the shared JSON-lines writer
+// (src/obs/json_lines.h), so `mv slowops.log slowops.log.1` just works.
 //
 // This class compiles in every build (it only needs the unconditional
 // TraceSpan struct); under LSTORE_TRACING=OFF no caller ever has spans
@@ -23,11 +23,11 @@
 #define LSTORE_OBS_SLOW_OP_LOG_H_
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "obs/flight_recorder.h"
+#include "obs/json_lines.h"
 #include "obs/metrics.h"
 
 namespace lstore {
@@ -37,7 +37,7 @@ class SlowOpLog {
   /// `threshold_us` must be > 0 (the owner gates construction on it).
   /// `slow_ops_total` (nullable) is incremented once per dumped line.
   /// With `max_bytes` > 0 the file rotates to <path>.1 once it
-  /// reaches the bound (DurabilityOptions::slow_op_log_max_bytes).
+  /// reaches the bound (DurabilityOptions::obs_log_max_bytes).
   SlowOpLog(std::string path, uint64_t threshold_us, Counter* slow_ops_total,
             uint64_t max_bytes = 0);
 
@@ -54,14 +54,12 @@ class SlowOpLog {
   void Dump(uint64_t trace_id, const char* op, uint32_t request_id,
             uint64_t total_ns, const std::vector<TraceSpan>& spans);
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return file_.path(); }
 
  private:
-  const std::string path_;
+  JsonLinesFile file_;
   const uint64_t threshold_ns_;
   Counter* const slow_ops_total_;
-  const uint64_t max_bytes_;  ///< 0 = unbounded
-  std::mutex mu_;  ///< serializes concurrent dumps into the file
 };
 
 }  // namespace lstore

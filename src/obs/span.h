@@ -1,5 +1,6 @@
-// Request-scoped tracing: trace ids, thread-local propagation, and
-// span recording into the flight recorder (src/obs/flight_recorder.h).
+// Request-scoped tracing and stage timing: trace ids, thread-local
+// propagation, and the one timing primitive (`Stage`) that feeds both
+// a latency histogram and the flight recorder (src/obs/flight_recorder.h).
 //
 // A trace id is minted once at the request's origin (client stamping a
 // wire frame, or the harness wrapping an in-process op), travels with
@@ -11,17 +12,22 @@
 //   ...                                     // anything called here
 //   uint64_t id = TraceContext::Current();  // sees the id (0 = none)
 //
-// Spans are recorded closed (after the fact) so the hot path pays two
-// clock reads and one ring write, nothing else:
+// Every engine stage is timed by one RAII scope. It reads the clock at
+// entry and at exit — and only when there is somewhere to put the
+// duration — then records that one duration into the histogram and,
+// for a traced thread, as a closed span:
 //
-//   { SpanScope span("execute");  DoWork(); }          // traced scope
-//   RecordSpan(id, "decode", t0_ns, dur_ns);           // manual window
+//   { Stage s(registry_hist, "log_append");  DoWork(); }
+//   Stage s(hist, nullptr);  ...;  uint64_t ns = s.End();  // early close
 //
-// All of it compiles out under LSTORE_TRACING=OFF (same
-// LSTORE_TRACE_ENABLED gate as src/obs/trace.h): Current() returns 0,
-// Scope/SpanScope are empty, RecordSpan is a no-op — call sites need
-// no #if. Span names must be static string literals (the recorder
-// stores the pointer).
+// Windows that open on one thread and close on another (a server
+// request's queue wait, a batch leader acting for its followers) stamp
+// NowNanos() by hand and close with RecordSpan.
+//
+// All of it compiles out under LSTORE_TRACING=OFF: Current() returns 0,
+// Scope and Stage are empty, RecordSpan is a no-op — call sites need no
+// #if. Span names must be static string literals (the recorder stores
+// the pointer).
 
 #ifndef LSTORE_OBS_SPAN_H_
 #define LSTORE_OBS_SPAN_H_
@@ -30,7 +36,7 @@
 #include <cstdint>
 
 #include "obs/flight_recorder.h"
-#include "obs/trace.h"
+#include "obs/metrics.h"
 
 namespace lstore {
 
@@ -78,27 +84,49 @@ inline void RecordSpan(uint64_t trace_id, const char* name, uint64_t t0_ns,
   FlightRecorder::Instance().Record(trace_id, name, t0_ns, dur_ns);
 }
 
-/// RAII span covering a scope, attributed to the thread's current
-/// trace id (captured at construction). Free when untraced: 0 id
-/// skips even the clock read.
-class SpanScope {
+/// One timed engine stage. `hist` (nullable) receives the duration;
+/// `span` (nullable, static literal) names the span recorded for the
+/// thread's current trace, captured at construction. With neither a
+/// histogram nor a traced span the stage never reads the clock.
+class Stage {
  public:
-  explicit SpanScope(const char* name)
-      : trace_id_(TraceContext::Current()),
-        name_(name),
-        t0_ns_(trace_id_ != 0 ? NowNanos() : 0) {}
-  ~SpanScope() {
-    if (trace_id_ != 0) {
-      RecordSpan(trace_id_, name_, t0_ns_, NowNanos() - t0_ns_);
+  Stage(Histogram* hist, const char* span)
+      : hist_(hist),
+        span_(span),
+        trace_id_(span != nullptr ? TraceContext::Current() : 0),
+        t0_ns_(hist != nullptr || trace_id_ != 0 ? NowNanos() : 0) {}
+  ~Stage() { End(); }
+  Stage(const Stage&) = delete;
+  Stage& operator=(const Stage&) = delete;
+
+  /// Close the stage now, recording once into both sinks; later calls
+  /// (and the destructor) record nothing more. Returns the duration,
+  /// 0 when the stage was untimed or cancelled.
+  uint64_t End() {
+    if (t0_ns_ != 0 && !closed_) {
+      closed_ = true;
+      dur_ns_ = NowNanos() - t0_ns_;
+      if (hist_ != nullptr) hist_->Record(dur_ns_);
+      RecordSpan(trace_id_, span_, t0_ns_, dur_ns_);
     }
+    return dur_ns_;
   }
-  SpanScope(const SpanScope&) = delete;
-  SpanScope& operator=(const SpanScope&) = delete;
+
+  /// Drop the sample: the stage turned out to be a no-op (e.g. a merge
+  /// with nothing to merge) and must not dilute the distribution.
+  void Cancel() { closed_ = true; }
+
+  /// Clock reading at entry (0 when untimed), for spans a batch leader
+  /// records on other requests' behalf over the same window.
+  uint64_t t0_ns() const { return t0_ns_; }
 
  private:
-  uint64_t trace_id_;
-  const char* name_;
-  uint64_t t0_ns_;
+  Histogram* const hist_;
+  const char* const span_;
+  const uint64_t trace_id_;
+  const uint64_t t0_ns_;
+  uint64_t dur_ns_ = 0;
+  bool closed_ = false;
 };
 
 #else  // !LSTORE_TRACE_ENABLED
@@ -117,11 +145,14 @@ class TraceContext {
 
 inline void RecordSpan(uint64_t, const char*, uint64_t, uint64_t) {}
 
-class SpanScope {
+class Stage {
  public:
-  explicit SpanScope(const char*) {}
-  SpanScope(const SpanScope&) = delete;
-  SpanScope& operator=(const SpanScope&) = delete;
+  Stage(Histogram*, const char*) {}
+  Stage(const Stage&) = delete;
+  Stage& operator=(const Stage&) = delete;
+  uint64_t End() { return 0; }
+  void Cancel() {}
+  uint64_t t0_ns() const { return 0; }
 };
 
 #endif  // LSTORE_TRACE_ENABLED

@@ -16,7 +16,6 @@
 #include "core/query.h"
 #include "obs/slow_op_log.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 
 namespace lstore {
 
@@ -384,7 +383,7 @@ void Server::WorkerLoop(std::shared_ptr<Heartbeat> hb) {
       // calls into (commit pipeline, logs) for the request's duration.
       HeartbeatWorkScope work(hb.get());
       TraceContext::Scope trace_scope(req.trace_id);
-      LSTORE_TRACE(h_request_ns_);
+      Stage stage(h_request_ns_, nullptr);
       HandleRequest(session.get(), req);
     }
 
@@ -482,12 +481,12 @@ void Server::HandleRequest(Session* session, const Request& req) {
   std::string body;
   Status s;
   {
-    SpanScope span("execute");
+    Stage stage(nullptr, "execute");
     s = Execute(session, static_cast<wire::Op>(op), &in, &body);
   }
   if (s.IsInvalidArgument()) m_errors_->Increment();
   {
-    SpanScope span("reply");
+    Stage stage(nullptr, "reply");
     SendResponse(session, request_id, s, body);
   }
 

@@ -34,7 +34,7 @@
 #include "core/query.h"
 #include "core/table.h"
 #include "log/framed_log.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 #include "storage/compressed_column.h"
 #include "storage/compression/varint.h"
 

@@ -362,12 +362,19 @@ TEST_F(GroupCommitTest, MixedSingleAndCrossTableCommitsRecoverEquivalently) {
 // ---------------------------------------------------------------------------
 
 TEST_F(GroupCommitTest, ConcurrentCommittersShareFsyncs) {
-  std::atomic<uint64_t> fsyncs{0};
   DurabilityOptions opts;
   opts.sync_commit = true;
   opts.group_commit_window_us = 50000;  // 50 ms: let followers join
-  opts.sync_counter = &fsyncs;
   auto db = OpenDb(opts);
+  // Every commit-path fsync: the table redo logs plus the commit log.
+  auto fsyncs = [&db] {
+    MetricsSnapshot s = db->Metrics();
+    return s.CounterValue("lstore_redo_fsyncs_total") +
+           s.CounterValue("lstore_commit_log_fsyncs_total");
+  };
+  auto batches = [&db] {
+    return db->Metrics().CounterValue("lstore_group_commit_batches_total");
+  };
 
   // Load one row per thread in each table (these commits also fsync;
   // measure only around the concurrent phase).
@@ -376,8 +383,8 @@ TEST_F(GroupCommitTest, ConcurrentCommittersShareFsyncs) {
     ASSERT_TRUE(CrossInsert(db.get(), i, i).ok());
   }
 
-  uint64_t before_fsyncs = fsyncs.load();
-  uint64_t before_batches = db->group_commit()->batches();
+  uint64_t before_fsyncs = fsyncs();
+  uint64_t before_batches = batches();
   std::atomic<int> ready{0};
   std::atomic<bool> go{false};
   std::atomic<int> ok{0};
@@ -399,8 +406,8 @@ TEST_F(GroupCommitTest, ConcurrentCommittersShareFsyncs) {
   for (auto& t : threads) t.join();
   ASSERT_EQ(ok.load(), kThreads);
 
-  uint64_t delta_fsyncs = fsyncs.load() - before_fsyncs;
-  uint64_t delta_batches = db->group_commit()->batches() - before_batches;
+  uint64_t delta_fsyncs = fsyncs() - before_fsyncs;
+  uint64_t delta_batches = batches() - before_batches;
   // Unshared, 8 cross-table commits over 2 tables would cost
   // 8 * (2 table fsyncs + 1 commit-log fsync) = 24. Group commit
   // must do better than one batch per committer.

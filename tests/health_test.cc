@@ -4,9 +4,10 @@
 // actors never flagged; slow-but-beating actors never false-positive),
 // exactly one flight-recorder dump per stall episode, event-ring
 // wraparound and severity filtering, events.log JSON schema + size
-// rotation, a deterministic end-to-end merge-thread stall injected
-// through TableConfig::merge_test_park, HEALTH over the wire, and
-// clean teardown ordering (watchdog stops before watched subsystems).
+// rotation (shared with metrics.log and slowops.log), a deterministic
+// end-to-end merge-thread stall injected through
+// TableConfig::merge_test_park, HEALTH over the wire, and clean
+// teardown ordering (watchdog stops before watched subsystems).
 
 #include <gtest/gtest.h>
 
@@ -29,6 +30,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
+#include "obs/slow_op_log.h"
 #include "obs/span.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -291,6 +293,43 @@ TEST(EventLogTest, JsonLinesRoundTripAndRotate) {
       EXPECT_NE(line.find("\"actor\":\"checkpointer\""), std::string::npos);
       EXPECT_NE(line.find("\"kind\":\"checkpoint_begin\""), std::string::npos);
       EXPECT_EQ(line.back(), '}');
+    }
+  }
+
+  // The same bound, set once through DurabilityOptions::obs_log_max_bytes,
+  // rotates a database's metrics.log and slowops.log too: all three logs
+  // share one JSON-lines writer.
+  std::string db_dir = dir + "/db";
+  {
+    DurabilityOptions opts;
+    opts.obs_log_max_bytes = 256;
+    opts.metrics_report_interval_ms = 1;
+    opts.slow_op_threshold_us = 1;
+    opts.watchdog_interval_ms = 0;
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(db_dir, opts, &db).ok());
+    if (kTraceEnabled) {
+      ASSERT_NE(db->slow_op_log(), nullptr);
+      std::vector<TraceSpan> spans(4, TraceSpan{7, "execute", 0, 1000, 0});
+      for (uint32_t i = 0; i < 8; ++i) {
+        db->slow_op_log()->Dump(7, "insert", i, 5000, spans);
+      }
+    }
+    // Every metrics line is a whole snapshot, larger than the bound.
+    for (int i = 0; i < 2000 && !fs::exists(db_dir + "/metrics.log.1"); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  std::vector<std::string> rotated = {"metrics.log"};
+  if (kTraceEnabled) rotated.push_back("slowops.log");
+  for (const std::string& name : rotated) {
+    std::string f = db_dir + "/" + name;
+    ASSERT_TRUE(fs::exists(f + ".1")) << name;
+    for (const std::string& g : {f, f + ".1"}) {
+      for (const std::string& line : ReadLines(g)) {
+        EXPECT_EQ(line.front(), '{') << g;
+        EXPECT_EQ(line.back(), '}') << g;
+      }
     }
   }
   fs::remove_all(dir);

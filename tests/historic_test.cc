@@ -128,7 +128,9 @@ TEST_F(TableHistoricTest, CompressionRequiresPriorMerge) {
   EXPECT_EQ(table_.CompressHistoricNow(0), 0u);
   ASSERT_TRUE(table_.MergeRangeNow(0));
   EXPECT_GT(table_.CompressHistoricNow(0), 0u);
-  EXPECT_EQ(table_.stats().historic_compressions.load(), 1u);
+  EXPECT_EQ(table_.metrics()->Snapshot().CounterValue(
+                "lstore_merge_historic_runs_total"),
+            1u);
 }
 
 TEST_F(TableHistoricTest, TimeTravelThroughCompressedHistory) {

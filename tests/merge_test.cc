@@ -57,13 +57,17 @@ class MergeTest : public ::testing::Test {
     return s.ok() ? out[col] : kNull;
   }
 
+  uint64_t Count(const char* counter) {
+    return table_.metrics()->Snapshot().CounterValue(counter);
+  }
+
   Table table_;
 };
 
 TEST_F(MergeTest, InsertMergeBuildsBaseSegments) {
   LoadRows(64);  // fills range 0 exactly
   EXPECT_TRUE(table_.InsertMergeNow(0));
-  EXPECT_EQ(table_.stats().insert_merges.load(), 1u);
+  EXPECT_EQ(Count("lstore_merge_insert_runs_total"), 1u);
   // Data still readable after the table-level tail pages are merged.
   for (Value k = 0; k < 64; ++k) {
     EXPECT_EQ(ReadCol(k, 1), k * 10);
@@ -129,9 +133,9 @@ TEST_F(MergeTest, OnlyLatestVersionConsolidated) {
   ASSERT_TRUE(table_.MergeRangeNow(0));
   EXPECT_EQ(ReadCol(5, 1), 109u);
   // Merged fast path serves the read: no chain hops afterwards.
-  uint64_t hops_before = table_.stats().tail_chain_hops.load();
+  uint64_t hops_before = Count("lstore_read_tail_hops_total");
   EXPECT_EQ(ReadCol(5, 1), 109u);
-  EXPECT_EQ(table_.stats().tail_chain_hops.load(), hops_before);
+  EXPECT_EQ(Count("lstore_read_tail_hops_total"), hops_before);
 }
 
 TEST_F(MergeTest, DeleteSurvivesMerge) {
@@ -187,7 +191,7 @@ TEST_F(MergeTest, MergeRetiresOldSegmentsThroughEpochs) {
   size_t pending_before = table_.epochs().pending();
   ASSERT_TRUE(table_.MergeRangeNow(0));
   EXPECT_GT(table_.epochs().pending(), pending_before);
-  EXPECT_GT(table_.stats().segments_retired.load(), 0u);
+  EXPECT_GT(Count("lstore_merge_segments_retired_total"), 0u);
   table_.epochs().TryReclaim();
   EXPECT_EQ(table_.epochs().pending(), 0u);
 }
@@ -298,7 +302,10 @@ TEST_F(MergeTest, BackgroundMergeKeepsUpWithWriters) {
   stop = true;
   writer.join();
   t.WaitForMergeQueue();
-  EXPECT_GT(t.stats().merges.load() + t.stats().insert_merges.load(), 0u);
+  MetricsSnapshot s = t.metrics()->Snapshot();
+  EXPECT_GT(s.CounterValue("lstore_merge_update_runs_total") +
+                s.CounterValue("lstore_merge_insert_runs_total"),
+            0u);
   // Table remains fully readable.
   for (Value k = 0; k < 128; ++k) {
     Txn txn = t.Begin();

@@ -249,9 +249,10 @@ TEST_F(TableBasicTest, StatsCountOperations) {
   ASSERT_TRUE(InsertRow({1, 10, 20, 30}).ok());
   ASSERT_TRUE(UpdateRow(1, 0b0010, {0, 11, 0, 0}).ok());
   ReadRow(1, 0b0010);
-  EXPECT_EQ(table_.stats().inserts.load(), 1u);
-  EXPECT_EQ(table_.stats().updates.load(), 1u);
-  EXPECT_GE(table_.stats().reads.load(), 1u);
+  MetricsSnapshot s = table_.metrics()->Snapshot();
+  EXPECT_EQ(s.CounterValue("lstore_inserts_total"), 1u);
+  EXPECT_EQ(s.CounterValue("lstore_updates_total"), 1u);
+  EXPECT_GE(s.CounterValue("lstore_reads_total"), 1u);
 }
 
 TEST_F(TableBasicTest, SecondaryIndexSelectsAndReevaluates) {

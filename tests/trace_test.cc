@@ -142,9 +142,9 @@ TEST(FlightRecorderTest, ConcurrentWritersNeverTearUnderSnapshots) {
   }
 }
 
-// --- span scoping ----------------------------------------------------------
+// --- trace scoping and the stage timer -------------------------------------
 
-TEST(SpanScopeTest, ScopePropagatesAndRestores) {
+TEST(TraceContextTest, ScopePropagatesAndRestores) {
   uint64_t id = TraceContext::NewTraceId();
   if (!kTraceEnabled) {
     EXPECT_EQ(id, 0u);
@@ -163,6 +163,54 @@ TEST(SpanScopeTest, ScopePropagatesAndRestores) {
     EXPECT_EQ(TraceContext::Current(), id);
   }
   EXPECT_EQ(TraceContext::Current(), 0u);
+}
+
+TEST(StageTest, OneDurationFeedsHistogramAndSpan) {
+  Histogram hist;
+  uint64_t id = TraceContext::NewTraceId();
+  uint64_t ended_ns = 0;
+  {
+    TraceContext::Scope scope(id);
+    Stage stage(&hist, "stage_test");
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    ended_ns = stage.End();
+    EXPECT_EQ(stage.End(), ended_ns);  // idempotent; the dtor adds nothing
+  }
+  HistogramSnapshot h = hist.Snapshot();
+  std::vector<TraceSpan> spans = FlightRecorder::Instance().SnapshotTrace(id);
+  if (!kTraceEnabled) {
+    EXPECT_EQ(ended_ns, 0u);
+    EXPECT_EQ(h.count, 0u);
+    EXPECT_TRUE(spans.empty());
+    return;
+  }
+  ASSERT_EQ(h.count, 1u);
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_STREQ(spans[0].name, "stage_test");
+  // One clock pair: the span's duration IS the histogram's sample.
+  EXPECT_EQ(spans[0].dur_ns, ended_ns);
+  EXPECT_EQ(h.sum, spans[0].dur_ns);
+  EXPECT_EQ(h.buckets[Histogram::BucketIndex(spans[0].dur_ns)], 1u);
+}
+
+TEST(StageTest, UntimedOrCancelledStagesRecordNothing) {
+  Histogram hist;
+  {
+    Stage stage(nullptr, "stage_untraced");  // no histogram, no trace id
+    EXPECT_EQ(stage.t0_ns(), 0u);  // never read the clock
+    EXPECT_EQ(stage.End(), 0u);
+  }
+  uint64_t id = TraceContext::NewTraceId();
+  {
+    TraceContext::Scope scope(id);
+    Stage stage(&hist, "stage_cancelled");
+    stage.Cancel();
+  }
+  EXPECT_EQ(hist.Snapshot().count, 0u);
+  EXPECT_TRUE(FlightRecorder::Instance().SnapshotTrace(id).empty());
+  for (const TraceSpan& s : FlightRecorder::Instance().Snapshot()) {
+    EXPECT_STRNE(s.name, "stage_untraced");
+  }
 }
 
 // --- wire round-trip with out-of-order awaits ------------------------------
