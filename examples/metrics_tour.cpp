@@ -25,7 +25,6 @@ int main() {
 
   DurabilityOptions opts;
   opts.sync_commit = true;
-  opts.group_commit_window_us = 100;
   opts.archive_enabled = true;
   opts.metrics_report_interval_ms = 50;  // <dir>/metrics.log timeline
 
@@ -47,7 +46,7 @@ int main() {
   Table* audit = db->GetTable("audit");
 
   // Concurrent cross-table commits: every order insert pairs with an
-  // audit row in ONE transaction, so the group-commit queue batches
+  // audit row in ONE transaction, so the logs' group commit batches
   // real multi-writer work.
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t) {

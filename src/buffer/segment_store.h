@@ -72,9 +72,6 @@ class SegmentStore {
   /// checkpoints; false for anonymous spill files.
   bool durable() const { return durable_; }
 
-  uint64_t size_bytes() const {
-    return end_.load(std::memory_order_acquire);
-  }
   const std::string& path() const { return path_; }
 
  private:

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <shared_mutex>
 #include <unordered_map>
 
 #include "archive/archive_manager.h"
@@ -320,18 +321,18 @@ Status CheckpointManager::RunCheckpoint() {
   Status status = Status::OK();
 
   // Phase 1 — quiesce through the commit log: every table's watermark
-  // and the commit-log position are snapshotted inside the
-  // group-commit window, so no commit can be half-way through its
-  // durability sequence (some participant logs flushed, commit-log
-  // record not yet) while the watermarks are taken. The lock covers
-  // only the LSN reads — the fsyncs below run with commits flowing.
-  // Watermarks BEFORE capture: anything the capture might miss has a
-  // higher LSN and will be replayed at recovery (idempotently).
+  // and the commit-log position are snapshotted while no cross-table
+  // commit sits between its participant syncs and its commit-log
+  // append (CommitLog::quiesce_mu). The lock covers only the LSN reads
+  // — the fsyncs below run with commits flowing. Watermarks BEFORE
+  // capture: anything the capture might miss has a higher LSN and
+  // will be replayed at recovery (idempotently).
   uint64_t commit_quiesce_lsn = 0;
   {
-    std::unique_lock<std::mutex> quiesce;
-    if (db_->group_commit_ != nullptr) {
-      quiesce = std::unique_lock<std::mutex>(db_->group_commit_->window_mu());
+    std::unique_lock<std::shared_mutex> quiesce;
+    if (db_->commit_log_ != nullptr) {
+      quiesce = std::unique_lock<std::shared_mutex>(
+          db_->commit_log_->quiesce_mu());
     }
     for (auto& [name, t] : tables) {
       ManifestEntry e;
@@ -344,17 +345,17 @@ Status CheckpointManager::RunCheckpoint() {
       commit_quiesce_lsn = db_->commit_log_->last_lsn();
     }
   }
-  // Make the snapshotted prefixes durable (Flush syncs everything up
-  // to and beyond the watermark; extra records are harmless).
-  for (auto& [name, t] : tables) {
-    (void)name;
+  // Make the snapshotted prefixes durable (a sync to the watermark
+  // covers it; extra records it writes are harmless).
+  for (size_t i = 0; i < tables.size(); ++i) {
+    Table* t = tables[i].second;
     if (t->log_ != nullptr) {
-      status = t->log_->Flush(/*sync=*/true);
+      status = t->log_->SyncTo(m.entries[i].log_watermark, /*fsync=*/true);
       if (!status.ok()) break;
     }
   }
   if (status.ok() && db_->commit_log_ != nullptr) {
-    status = db_->commit_log_->Flush(/*sync=*/true);
+    status = db_->commit_log_->SyncTo(commit_quiesce_lsn, /*fsync=*/true);
   }
   if (!status.ok()) {
     db_->events_.Emit(EventSeverity::kError, "checkpointer", "checkpoint_end",

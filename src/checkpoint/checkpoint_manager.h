@@ -3,11 +3,11 @@
 // checkpoint trigger.
 //
 // A checkpoint of a database directory proceeds as:
-//   1. quiesce through the database commit log: inside the
-//      group-commit window (so no commit is half-way between its
-//      table-log flushes and its commit-log flush), fsync every
-//      table's redo log and record its last LSN as the table's
-//      watermark, then fsync the commit log and record its position,
+//   1. quiesce through the database commit log: while no cross-table
+//      commit is half-way between its participant syncs and its
+//      commit-log append, record every table's last LSN as its
+//      watermark and the commit log's position, then fsync each log up
+//      to them,
 //   2. capture each table's state and write ckpt_<id>_<table>.ckpt
 //      files (fsynced, checksummed) — any record the capture misses
 //      has an LSN beyond its watermark and is replayed at recovery,

@@ -2,8 +2,11 @@
 
 #include "checkpoint/serde.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <thread>
 
@@ -68,18 +71,30 @@ Status FrameWriter::Finish() {
 // FrameReader
 // ---------------------------------------------------------------------------
 
+FrameReader::~FrameReader() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
 Status FrameReader::Open(const std::string& path, uint32_t expected_magic) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd_ < 0) {
     return Status::IOError("cannot open file: " + path);
   }
-  char chunk[1 << 16];
-  size_t n;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    data_.append(chunk, n);
+  // Checksum pass: the whole-file checksum is checked before a caller
+  // applies any frame, without holding the file in memory.
+  checksum_ = kFnv1a64Seed;
+  std::string chunk(1 << 20, '\0');
+  for (;;) {
+    ssize_t n = ::read(fd_, chunk.data(), chunk.size());
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return Status::IOError("cannot read file: " + path);
+    if (n == 0) break;
+    checksum_ = Fnv1a64(chunk.data(), static_cast<size_t>(n), checksum_);
+    left_ += static_cast<uint64_t>(n);
   }
-  std::fclose(f);
-  checksum_ = Fnv1a64(data_.data(), data_.size());
+  if (::lseek(fd_, 0, SEEK_SET) != 0) {
+    return Status::IOError("cannot rewind file: " + path);
+  }
 
   FrameType type;
   std::string_view payload;
@@ -98,29 +113,52 @@ Status FrameReader::Open(const std::string& path, uint32_t expected_magic) {
   return Status::OK();
 }
 
+bool FrameReader::Fill(size_t n) {
+  if (buf_.size() - pos_ >= n) return true;
+  buf_.erase(0, pos_);
+  pos_ = 0;
+  size_t have = buf_.size();
+  buf_.resize(std::max(n, size_t{1} << 16));
+  while (have < n) {
+    ssize_t got = ::read(fd_, buf_.data() + have, buf_.size() - have);
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) break;
+    have += static_cast<size_t>(got);
+  }
+  buf_.resize(have);
+  return have >= n;
+}
+
 bool FrameReader::Next(FrameType* type, std::string_view* payload) {
-  if (!status_.ok() || pos_ >= data_.size()) return false;
+  if (!status_.ok() || left_ == 0) return false;  // clean end of file
+  // A length varint is at most 10 bytes.
+  Fill(static_cast<size_t>(std::min<uint64_t>(left_, 10)));
   size_t pos = pos_;
   uint64_t len;
-  if (!GetVarint64(data_.data(), data_.size(), &pos, &len) || len == 0) {
+  if (!GetVarint64(buf_.data(), buf_.size(), &pos, &len) || len == 0) {
     status_ = Status::Corruption("torn checkpoint frame");
     return false;
   }
-  size_t remain = data_.size() - pos;
-  if (remain < sizeof(uint32_t) || len > remain - sizeof(uint32_t)) {
+  // Bounded by the bytes left in the file BEFORE buffering: a torn
+  // tail can present an absurd length.
+  const size_t header = pos - pos_;
+  const uint64_t remain = left_ - header;
+  if (remain < sizeof(uint32_t) || len > remain - sizeof(uint32_t) ||
+      !Fill(header + len + sizeof(uint32_t))) {
     status_ = Status::Corruption("torn checkpoint frame");
     return false;
   }
-  const char* frame = data_.data() + pos;
+  const char* frame = buf_.data() + pos_ + header;
   uint32_t stored;
-  std::memcpy(&stored, data_.data() + pos + len, sizeof(stored));
+  std::memcpy(&stored, frame + len, sizeof(stored));
   if (Fnv1a32(frame, len) != stored) {
     status_ = Status::Corruption("checkpoint frame checksum mismatch");
     return false;
   }
   *type = static_cast<FrameType>(frame[0]);
   *payload = std::string_view(frame + 1, len - 1);
-  pos_ = pos + len + sizeof(uint32_t);
+  pos_ += header + len + sizeof(uint32_t);
+  left_ -= header + len + sizeof(uint32_t);
   return true;
 }
 

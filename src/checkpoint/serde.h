@@ -77,20 +77,33 @@ class FrameWriter {
   uint64_t checksum_;
 };
 
-/// Reads a frame file fully, verifying per-frame checksums. The
-/// whole-file checksum is available immediately after Open.
+/// Streams a frame file, verifying per-frame checksums. Open reads the
+/// file once to compute the whole-file checksum (available right
+/// after it); Next then reads frame by frame, so a reader holds one
+/// frame in memory, never the whole file.
 class FrameReader {
  public:
+  FrameReader() = default;
+  ~FrameReader();
+  FrameReader(const FrameReader&) = delete;
+  FrameReader& operator=(const FrameReader&) = delete;
+
   Status Open(const std::string& path, uint32_t expected_magic);
   /// Next frame; false at clean end-of-file. A malformed frame turns
-  /// status() into Corruption and stops iteration.
+  /// status() into Corruption and stops iteration. `payload` stays
+  /// valid until the next call.
   bool Next(FrameType* type, std::string_view* payload);
   Status status() const { return status_; }
   uint64_t file_checksum() const { return checksum_; }
 
  private:
-  std::string data_;
+  /// Buffer at least `n` unread bytes; false when the file ends first.
+  bool Fill(size_t n);
+
+  int fd_ = -1;
+  std::string buf_;  ///< file bytes read ahead; [pos_, size) unread
   size_t pos_ = 0;
+  uint64_t left_ = 0;  ///< file bytes from buf_[pos_] to the end
   uint64_t checksum_ = 0;
   Status status_;
 };

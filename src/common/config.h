@@ -126,12 +126,6 @@ struct DurabilityOptions {
   /// redo-log bytes across tables exceed this (0 = no size trigger).
   uint64_t checkpoint_log_bytes = 0;
 
-  /// Group commit: how long a lone leader waits (microseconds) for
-  /// concurrent committers to join its batch before flushing. 0 =
-  /// no explicit wait; batching still happens naturally while a
-  /// leader's flush is in flight.
-  uint64_t group_commit_window_us = 0;
-
   /// Byte budget of the database-wide buffer pool for read-optimized
   /// base segments (src/buffer/buffer_pool.h). 0 = no pool: base
   /// pages stay fully resident, exactly the pre-buffer behavior.

@@ -53,10 +53,6 @@ class EpochManager {
   /// Number of retired-but-not-yet-freed entries (for tests/stats).
   size_t pending() const;
 
-  uint64_t current_epoch() const {
-    return epoch_.load(std::memory_order_acquire);
-  }
-
  private:
   uint64_t MinActiveEpoch() const;
 

@@ -27,7 +27,6 @@ class SpinLatch {
       }
     }
   }
-  bool TryLock() { return !flag_.exchange(true, std::memory_order_acquire); }
   void Unlock() { flag_.store(false, std::memory_order_release); }
 
  private:
@@ -81,26 +80,6 @@ class RWSpinLatch {
   }
   void UnlockExclusive() {
     state_.fetch_and(~kWriterBit, std::memory_order_release);
-  }
-
-  /// Promote shared → exclusive, assuming the caller holds one shared
-  /// reference. Used by the Ownership Relaying protocol (Section 5.2:
-  /// "promotes its shared latch to an exclusive one").
-  void PromoteSharedToExclusive() {
-    for (;;) {
-      uint32_t v = state_.load(std::memory_order_relaxed);
-      if ((v & kWriterBit) == 0 &&
-          state_.compare_exchange_weak(v, v | kWriterBit,
-                                       std::memory_order_acquire)) {
-        break;
-      }
-      std::this_thread::yield();
-    }
-    // Drop our own shared count, then wait for remaining readers.
-    state_.fetch_sub(1, std::memory_order_release);
-    while ((state_.load(std::memory_order_acquire) & ~kWriterBit) != 0) {
-      std::this_thread::yield();
-    }
   }
 
  private:

@@ -33,11 +33,6 @@ class Random {
   /// Uniform in [0, n).
   uint64_t Uniform(uint64_t n) { return n == 0 ? 0 : Next() % n; }
 
-  /// Uniform in [lo, hi).
-  uint64_t UniformRange(uint64_t lo, uint64_t hi) {
-    return lo + Uniform(hi - lo);
-  }
-
   /// True with probability pct/100.
   bool Percent(uint32_t pct) { return Uniform(100) < pct; }
 

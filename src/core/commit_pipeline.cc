@@ -1,7 +1,7 @@
 #include "core/commit_pipeline.h"
 
 #include <algorithm>
-#include <chrono>
+#include <shared_mutex>
 
 #include "core/table.h"
 #include "obs/span.h"
@@ -41,156 +41,12 @@ void Participants(const Transaction& txn, const std::vector<Table*>& tables,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// GroupCommitQueue
-// ---------------------------------------------------------------------------
-
-Status GroupCommitQueue::Commit(Transaction* txn, Timestamp commit_time,
-                                const std::vector<Table*>& writers,
-                                bool cross) {
-  Request req;
-  req.writers = writers;
-  req.cross = cross;
-  if (cross) {
-    req.record.txn_id = txn->id();
-    req.record.commit_time = commit_time;
-    for (Table* t : writers) {
-      // last_lsn is an upper bound on this transaction's payload LSNs
-      // in that log (our appends are already in); a concurrent append
-      // raising it merely delays commit-log truncation.
-      req.record.participants.push_back(
-          {t->name(), t->log_->last_lsn()});
-    }
-  }
-
-  if (kTraceEnabled) {
-    // Stamped for every request, not only when the histogram is wired:
-    // the stamp also anchors the gc_queue_wait span of a traced
-    // request, which the leader records on the submitter's behalf.
-    req.enqueue_ns = NowNanos();
-    req.trace_id = TraceContext::Current();
-  }
-  std::unique_lock<std::mutex> lk(mu_);
-  queue_.push_back(&req);
-  cv_.notify_all();
-  for (;;) {
-    cv_.wait(lk, [&] {
-      return req.done || (!leader_active_ && queue_.front() == &req);
-    });
-    if (req.done) return req.result;
-
-    // Become the leader. A lone leader waits up to the group-commit
-    // window for followers; wake-ups from new arrivals keep it parked
-    // until the deadline so the batch can grow.
-    leader_active_ = true;
-    if (window_us_ > 0 && queue_.size() == 1) {
-      auto deadline = std::chrono::steady_clock::now() +
-                      std::chrono::microseconds(window_us_);
-      while (std::chrono::steady_clock::now() < deadline) {
-        cv_.wait_until(lk, deadline);
-      }
-    }
-    std::vector<Request*> batch(queue_.begin(), queue_.end());
-    queue_.clear();
-    lk.unlock();
-
-    ProcessBatch(batch);
-
-    lk.lock();
-    for (Request* r : batch) r->done = true;
-    leader_active_ = false;
-    cv_.notify_all();
-    return req.result;
-  }
-}
-
-void GroupCommitQueue::ProcessBatch(const std::vector<Request*>& batch) {
-  std::lock_guard<std::mutex> window(window_mu_);
-  HeartbeatWorkScope work(hb_.get());
-  batches_total_->Add(1);
-  batch_size_->Record(batch.size());
-  if (kTraceEnabled) {
-    uint64_t now = NowNanos();
-    for (Request* r : batch) {
-      uint64_t wait_ns = now - r->enqueue_ns;
-      queue_wait_ns_->Record(wait_ns);
-      RecordSpan(r->trace_id, "gc_queue_wait", r->enqueue_ns, wait_ns);
-    }
-  }
-  // The leader times each shared window once; every traced request in
-  // the batch gets that window on its own timeline (that IS its wait).
-  Stage fanout(fanout_flush_ns_, nullptr);
-
-  // 1. Flush every distinct table log touched by the batch exactly
-  // once: the payloads (and single-table commit records) of every
-  // request become durable before any commit-log record can.
-  std::vector<RedoLog*> logs;
-  for (Request* r : batch) {
-    for (Table* t : r->writers) {
-      if (std::find(logs.begin(), logs.end(), t->log_.get()) == logs.end()) {
-        logs.push_back(t->log_.get());
-      }
-    }
-  }
-  std::vector<Status> log_status(logs.size(), Status::OK());
-  for (size_t i = 0; i < logs.size(); ++i) {
-    log_status[i] = logs[i]->Flush(sync_);
-  }
-  for (Request* r : batch) {
-    for (Table* t : r->writers) {
-      size_t i = std::find(logs.begin(), logs.end(), t->log_.get()) -
-                 logs.begin();
-      if (!log_status[i].ok()) {
-        r->result = log_status[i];
-        break;
-      }
-    }
-  }
-  uint64_t fanout_ns = fanout.End();
-  for (Request* r : batch) {
-    RecordSpan(r->trace_id, "log_flush", fanout.t0_ns(), fanout_ns);
-  }
-
-  // 2. One commit-log record per surviving cross-table request; the
-  // single flush below is their shared durability point.
-  bool any_cross = false;
-  for (Request* r : batch) {
-    if (r->cross && r->result.ok()) {
-      commit_log_->Append(r->record);
-      any_cross = true;
-    }
-  }
-  if (any_cross) {
-    Stage flush(commit_log_flush_ns_, nullptr);
-    Status cs = commit_log_->Flush(sync_);
-    uint64_t flush_ns = flush.End();
-    for (Request* r : batch) {
-      if (r->cross && r->result.ok()) {
-        RecordSpan(r->trace_id, "commit_fsync", flush.t0_ns(), flush_ns);
-      }
-    }
-    if (!cs.ok()) {
-      for (Request* r : batch) {
-        if (r->cross && r->result.ok()) r->result = cs;
-      }
-    }
-  }
-}
-
-void GroupCommitQueue::AbortCross(TxnId txn_id) {
-  CommitLogRecord rec;
-  rec.txn_id = txn_id;
-  rec.aborted = true;
-  commit_log_->Append(rec);
-  (void)commit_log_->Flush(sync_);
-}
-
-// ---------------------------------------------------------------------------
 // Commit / abort
 // ---------------------------------------------------------------------------
 
 Status CommitAcrossTables(TransactionManager& tm, Transaction* txn,
                           const std::vector<Table*>& tables,
-                          GroupCommitQueue* group) {
+                          CommitLog* commit_log) {
   if (txn->finished()) return Status::InvalidArgument("already finished");
   std::vector<Table*> readers, writers;
   Participants(*txn, tables, &readers, &writers);
@@ -210,32 +66,65 @@ Status CommitAcrossTables(TransactionManager& tm, Transaction* txn,
 
   // 3. Durability point (Section 5.1.3). Read-only participants write
   // nothing: their logs carry no records of this transaction to
-  // resolve at replay. A single logged writer keeps its per-table
-  // commit record (fast path); several logged writers commit through
-  // ONE database commit-log record — all-or-nothing across tables —
-  // and both flush through the group-commit queue when present.
+  // resolve at replay. A single logged writer appends its per-table
+  // commit record and syncs it; several logged writers of a durable
+  // database commit through ONE commit-log record — all-or-nothing
+  // across tables. Concurrent committers share each log's flushes.
   std::vector<Table*> logged;
+  bool sync = false;
   for (Table* t : writers) {
-    if (t->log_ != nullptr) logged.push_back(t);
+    if (t->log_ == nullptr) continue;
+    logged.push_back(t);
+    sync = sync || t->config_.sync_commit;
   }
+  const bool cross = commit_log != nullptr && logged.size() > 1;
   Status ds = Status::OK();
-  if (group != nullptr && !logged.empty()) {
-    bool cross = logged.size() > 1;
-    if (!cross) logged[0]->AppendCommitRecord(txn, commit_time);
-    ds = group->Commit(txn, commit_time, logged, cross);
+  if (cross) {
+    // Every participant log is synced BEFORE the commit-log record is
+    // appended: a durable commit record implies durable payloads.
+    CommitLogRecord rec;
+    rec.txn_id = txn->id();
+    rec.commit_time = commit_time;
+    uint64_t lsn = 0;
+    {
+      std::shared_lock<std::shared_mutex> quiesce(commit_log->quiesce_mu());
+      Stage flush(nullptr, "log_flush");
+      for (Table* t : logged) {
+        // last_lsn is an upper bound on this transaction's payload LSNs
+        // in that log (our appends are already in); a concurrent append
+        // raising it merely delays commit-log truncation.
+        uint64_t last = t->log_->last_lsn();
+        rec.participants.push_back({t->name(), last});
+        ds = t->log_->SyncTo(last, sync);
+        if (!ds.ok()) break;
+      }
+      flush.End();
+      if (ds.ok()) lsn = commit_log->Append(rec);
+    }
+    if (ds.ok()) {
+      Stage commit_point(nullptr, "commit_fsync");
+      ds = commit_log->SyncTo(lsn, sync);
+    }
   } else {
-    for (Table* t : writers) {
+    Stage flush(nullptr, "log_flush");
+    for (Table* t : logged) {
       ds = t->WriteCommitRecord(txn, commit_time);
       if (!ds.ok()) break;
     }
   }
   if (!ds.ok()) {
-    // A commit record may already be flushed (per-table) or appended
+    // A commit record may already be written (per-table) or appended
     // (commit log); the abort must be durable to override it. For a
     // cross-table transaction the authoritative abort is ONE marker in
     // the commit log — per-table abort records could land on a subset
-    // of participants and re-split the transaction.
-    if (group != nullptr && logged.size() > 1) group->AbortCross(txn->id());
+    // of participants and re-split the transaction. Best effort: if
+    // neither record persists, recovery aborts it everywhere anyway.
+    if (cross) {
+      CommitLogRecord marker;
+      marker.txn_id = txn->id();
+      marker.aborted = true;
+      (void)commit_log->SyncTo(commit_log->Append(marker), sync);
+    }
     AbortAcrossTables(tm, txn, writers, /*durable_abort=*/true);
     return ds;
   }

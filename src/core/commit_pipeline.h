@@ -10,14 +10,15 @@
 //   1. acquire the commit time, enter pre-commit,
 //   2. validate each read participant's share of the readset,
 //   3. reach the durability point:
-//        - one logged writer: a commit record in that table's log
-//          (the existing fast path),
+//        - one logged writer: a commit record in that table's log,
+//          then SyncTo it,
 //        - several logged writers: payload records stay in the table
-//          logs WITHOUT per-table commit records; ONE record in the
-//          database commit log is the whole transaction's commit
+//          logs WITHOUT per-table commit records; each participant log
+//          is synced, then ONE record in the database commit log is
+//          appended and synced as the whole transaction's commit
 //          point, so a crash can never split it across tables,
-//      both flushed through the group-commit queue when the engine
-//      has one, sharing fsyncs with concurrent committers,
+//      concurrent committers share writes and fsyncs through the logs'
+//      own group commit (FramedLog::SyncTo),
 //   4. flip the state in the shared manager — the in-memory commit
 //      point,
 //   5. stamp Start Time slots and retire the manager entry.
@@ -25,18 +26,10 @@
 #ifndef LSTORE_CORE_COMMIT_PIPELINE_H_
 #define LSTORE_CORE_COMMIT_PIPELINE_H_
 
-#include <condition_variable>
-#include <cstdint>
-#include <deque>
-#include <mutex>
 #include <vector>
-
-#include <memory>
 
 #include "common/status.h"
 #include "log/commit_log.h"
-#include "obs/health.h"
-#include "obs/metrics.h"
 #include "txn/transaction.h"
 
 namespace lstore {
@@ -44,115 +37,14 @@ namespace lstore {
 class Table;
 class TransactionManager;
 
-/// Group-commit stage: concurrent committers enqueue their durability
-/// work; the first waiting request becomes the batch leader, which
-/// flushes every distinct table log touched by the batch ONCE, appends
-/// the batch's commit-log records, and flushes the commit log ONCE —
-/// so N concurrent commits across T tables cost T+1 fsyncs, not N*(T+1).
-/// A lone leader waits up to `window_us` for followers to join
-/// (DurabilityOptions::group_commit_window_us).
-class GroupCommitQueue {
- public:
-  /// `registry` receives the stage metrics of every batch:
-  /// per-request queue wait, the leader's table-log flush fan-out and
-  /// commit-log flush durations, and batch sizes.
-  GroupCommitQueue(CommitLog* commit_log, uint64_t window_us, bool sync,
-                   MetricsRegistry* registry)
-      : commit_log_(commit_log),
-        window_us_(window_us),
-        sync_(sync),
-        queue_wait_ns_(registry->GetHistogram(
-            "lstore_commit_queue_wait_ns",
-            "Group-commit queue wait before the batch leader ran (ns)")),
-        fanout_flush_ns_(registry->GetHistogram(
-            "lstore_commit_fanout_flush_ns",
-            "Leader's table-log flush fan-out per batch (ns)")),
-        commit_log_flush_ns_(registry->GetHistogram(
-            "lstore_commit_log_fsync_ns",
-            "Leader's commit-log flush (the commit point) per batch (ns)")),
-        batch_size_(registry->GetHistogram("lstore_group_commit_batch_size",
-                                           "Commits per group-commit batch")),
-        batches_total_(registry->GetCounter("lstore_group_commit_batches_total",
-                                            "Group-commit batches led")) {}
-
-  /// Make `txn` durable: flush `writers`' logs (payloads, plus the
-  /// per-table commit record a single-table commit already appended);
-  /// when `cross`, additionally append + flush the one commit-log
-  /// record that commits the transaction on every participant. The
-  /// table-log flushes ALWAYS precede the commit-log flush, so a
-  /// durable commit record implies durable payloads. Returns once the
-  /// transaction's durability point is reached (or failed).
-  Status Commit(Transaction* txn, Timestamp commit_time,
-                const std::vector<Table*>& writers, bool cross);
-
-  /// Append + flush ONE authoritative abort marker for a cross-table
-  /// transaction whose commit-log flush failed: the commit record may
-  /// or may not have reached the disk, and per-table abort records
-  /// could themselves land on only a subset of participants — a single
-  /// marker here decides the outcome for all of them at recovery
-  /// (best effort: if this flush also fails and neither record
-  /// persists, recovery aborts the transaction everywhere anyway).
-  void AbortCross(TxnId txn_id);
-
-  /// Registers the "group_commit" heartbeat: the leader marks itself
-  /// busy for each batch's durability sequence, so a leader wedged in
-  /// an fsync shows up as slow/stalled instead of merely idle.
-  void RegisterHeartbeat(HealthRegistry* registry) {
-    hb_ = registry->Register("group_commit");
-  }
-
-  /// Held by the leader for the whole durability sequence of a batch.
-  /// The checkpoint quiesces through it: taking this mutex while
-  /// recording log watermarks guarantees no commit is mid-flight
-  /// between its table-log flushes and its commit-log flush.
-  std::mutex& window_mu() { return window_mu_; }
-
- private:
-  struct Request {
-    std::vector<Table*> writers;
-    CommitLogRecord record;  ///< prepared when `cross`
-    bool cross = false;
-    bool done = false;
-    Status result;
-    uint64_t enqueue_ns = 0;  ///< queue-wait stamp (0 = untraced build)
-    /// Submitter's request trace id (obs/span.h), captured at Commit()
-    /// entry: the batch leader records this request's gc_queue_wait /
-    /// log_flush / commit_fsync spans on the submitter's behalf —
-    /// durability work happens on the leader's thread, but latency
-    /// belongs to the request's timeline. 0 = untraced.
-    uint64_t trace_id = 0;
-  };
-
-  /// Leader body: runs the shared durability sequence for `batch`
-  /// under window_mu_, filling each request's result.
-  void ProcessBatch(const std::vector<Request*>& batch);
-
-  CommitLog* commit_log_;
-  const uint64_t window_us_;
-  const bool sync_;
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Request*> queue_;
-  bool leader_active_ = false;
-  std::mutex window_mu_;
-  std::shared_ptr<Heartbeat> hb_;  ///< "group_commit" (null until wired)
-
-  Histogram* const queue_wait_ns_;
-  Histogram* const fanout_flush_ns_;
-  Histogram* const commit_log_flush_ns_;
-  Histogram* const batch_size_;
-  Counter* const batches_total_;
-};
-
 /// Commit `txn` across whichever of `tables` it actually read or
-/// wrote. With several logged writers the commit-log record appended
-/// via `group` is the single atomic durability point; `group` may be
-/// null (standalone tables, in-memory databases), falling back to
-/// per-table commit records flushed inline.
+/// wrote. With several logged writers and a `commit_log` (durable
+/// databases), one commit-log record is the single atomic durability
+/// point; without one (standalone tables, in-memory databases) each
+/// logged writer gets its own commit record.
 Status CommitAcrossTables(TransactionManager& tm, Transaction* txn,
                           const std::vector<Table*>& tables,
-                          GroupCommitQueue* group = nullptr);
+                          CommitLog* commit_log = nullptr);
 
 /// Abort `txn`: append abort records to write participants' logs and
 /// tombstone the writeset (Section 5.1.3 — no physical removal).

@@ -2,6 +2,9 @@
 
 #include <sys/stat.h>
 #include <sys/types.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include <algorithm>
 #include <cerrno>
@@ -93,6 +96,12 @@ Database::~Database() {
   if (checkpoint_manager_ != nullptr) checkpoint_manager_->Stop();
 }
 
+Database::HeapRelease::~HeapRelease() {
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
+}
+
 HealthReport Database::Health() {
   HealthReport report = watchdog_->SweepOnce();
   report.recent_events = events_.Recent(32);
@@ -141,11 +150,8 @@ Status Database::CreateTableInternal(const std::string& name, Schema schema,
   tables_.push_back(Entry{
       name, std::make_unique<Table>(name, std::move(schema),
                                     std::move(config), &txn_manager_)});
-  // Sessions begun on this database are valid on the member table,
-  // and commits on the member table share the database's group-commit
-  // stage (single-table sessions batch fsyncs with everyone else).
+  // Sessions begun on this database are valid on the member table.
   tables_.back().table->txn_scope_ = this;
-  tables_.back().table->group_commit_ = group_commit_.get();
   if (out != nullptr) *out = tables_.back().table.get();
   return Status::OK();
 }
@@ -359,6 +365,11 @@ Status Database::Open(const std::string& dir, const DurabilityOptions& opts,
         "lstore_commit_log_append_ns", "Commit-log append latency (ns)");
     clm.flush_ns = db->metrics_.GetHistogram(
         "lstore_commit_log_flush_ns", "Commit-log flush latency (ns)");
+    clm.fsync_failures = db->metrics_.GetCounter(
+        "lstore_commit_log_fsync_failures_total",
+        "Commit-log fsyncs that failed (the log stops accepting syncs)");
+    WireGroupCommitMetrics(&db->metrics_, &clm);
+    clm.flusher = db->health_.Register("commit_log");
     db->commit_log_->set_metrics(clm);
   }
   LSTORE_RETURN_IF_ERROR(db->commit_log_->Open(
@@ -373,10 +384,6 @@ Status Database::Open(const std::string& dir, const DurabilityOptions& opts,
           db_commits[rec.txn_id] = rec.commit_time;
         }
       }));
-  db->group_commit_ = std::make_unique<GroupCommitQueue>(
-      db->commit_log_.get(), opts.group_commit_window_us, opts.sync_commit,
-      &db->metrics_);
-  db->group_commit_->RegisterHeartbeat(&db->health_);
 
   for (const CatalogEntry& ce : catalog) {
     TableConfig cfg = ce.config;
@@ -480,7 +487,7 @@ Status Database::CommitTxn(Transaction* txn) {
     SpinGuard g(latch_);
     for (auto& e : tables_) tables.push_back(e.table.get());
   }
-  return CommitAcrossTables(txn_manager_, txn, tables, group_commit_.get());
+  return CommitAcrossTables(txn_manager_, txn, tables, commit_log_.get());
 }
 
 void Database::AbortTxn(Transaction* txn) {

@@ -7,9 +7,9 @@
 // A database opened on a directory is *durable* (Section 5.1.3):
 // every table gets a redo log under the directory, a database-level
 // COMMIT_LOG is the single atomic commit point for cross-table
-// transactions (per-table logs carry only their payloads), a
-// group-commit queue batches the commit fsyncs of concurrent
-// committers, `Checkpoint()` writes lineage-consistent snapshots and
+// transactions (per-table logs carry only their payloads), each log's
+// group commit shares fsyncs among concurrent committers,
+// `Checkpoint()` writes lineage-consistent snapshots and
 // truncates the logs (including the commit log's covered prefix), and
 // `Open()` performs full restart recovery (catalog -> commit log ->
 // checkpoints -> log-tail replay -> index/Indirection rebuild).
@@ -41,7 +41,6 @@ namespace lstore {
 class ArchiveManager;
 class CheckpointManager;
 class CommitLog;
-class GroupCommitQueue;
 class SlowOpLog;
 class StatsReporter;
 
@@ -203,7 +202,7 @@ class Database : public TxnContext {
 
   /// The heartbeat registry every background actor of this engine
   /// registers with (src/obs/health.h) — merge threads, the
-  /// checkpointer, the group-commit leader, the stats reporter, and a
+  /// checkpointer, log flushers, the stats reporter, and a
   /// co-resident Server's workers/readers.
   HealthRegistry& health() { return health_; }
 
@@ -238,6 +237,18 @@ class Database : public TxnContext {
 
   Status CreateTableInternal(const std::string& name, Schema schema,
                              TableConfig config, Table** out);
+
+  /// Declared first, so destroyed last: once every table is gone, hand
+  /// the heap pages they freed back to the OS. The allocator keeps
+  /// freed chunks in the arenas of the threads that allocated them, so
+  /// without this a database reopened in the same process stacks a
+  /// second copy of its data on top of the first.
+  struct HeapRelease {
+    HeapRelease() = default;
+    ~HeapRelease();
+    HeapRelease(const HeapRelease&) = delete;
+    HeapRelease& operator=(const HeapRelease&) = delete;
+  } heap_release_;
 
   TransactionManager txn_manager_;
   mutable SpinLatch latch_;
@@ -276,9 +287,8 @@ class Database : public TxnContext {
   DurabilityOptions durability_;
   /// Log archiving / PITR (durable + archive_enabled only).
   std::unique_ptr<ArchiveManager> archive_;
-  /// Cross-table commit point + shared fsync stage (durable only).
+  /// Cross-table commit point (durable only).
   std::unique_ptr<CommitLog> commit_log_;
-  std::unique_ptr<GroupCommitQueue> group_commit_;
   // Declared last: destroyed (and therefore stopped) before tables_.
   std::unique_ptr<CheckpointManager> checkpoint_manager_;
   /// Slow-op dump sink (<dir>/slowops.log); created by Open when

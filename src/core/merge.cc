@@ -108,7 +108,6 @@ void MergeManager::Loop() {
     {
       std::lock_guard<std::mutex> g(mu_);
       busy_ = false;
-      ++tasks_processed_;
     }
     idle_cv_.notify_all();
   }

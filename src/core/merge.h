@@ -34,8 +34,6 @@ class MergeManager {
   /// Block until the queue is empty and the worker is idle.
   void Drain();
 
-  uint64_t tasks_processed() const { return tasks_processed_; }
-
  private:
   void Loop();
 
@@ -47,7 +45,6 @@ class MergeManager {
   std::deque<uint64_t> queue_;
   bool running_ = false;
   bool busy_ = false;
-  uint64_t tasks_processed_ = 0;
 };
 
 }  // namespace lstore

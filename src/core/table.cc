@@ -143,6 +143,13 @@ Table::Table(std::string name, Schema schema, TableConfig config,
         "lstore_redo_append_ns", "Redo-log append latency (ns)");
     obs_.redo.flush_ns = metrics_->GetHistogram("lstore_redo_flush_ns",
                                                 "Redo-log flush latency (ns)");
+    obs_.redo.fsync_failures = metrics_->GetCounter(
+        "lstore_redo_fsync_failures_total",
+        "Redo-log fsyncs that failed (the log stops accepting syncs)");
+    WireGroupCommitMetrics(metrics_, &obs_.redo);
+    if (config_.health != nullptr) {
+      obs_.redo.flusher = config_.health->Register("redo_log:" + name_);
+    }
     log_->set_metrics(obs_.redo);
     Status s = log_->Open(config_.log_path, /*truncate=*/false);
     if (!s.ok()) log_.reset();
@@ -762,17 +769,11 @@ Status Table::ValidateReads(Transaction* txn, Timestamp commit_time) {
 
 Status Table::WriteCommitRecord(Transaction* txn, Timestamp commit_time) {
   if (log_ == nullptr) return Status::OK();
-  AppendCommitRecord(txn, commit_time);
-  return log_->Flush(config_.sync_commit);
-}
-
-uint64_t Table::AppendCommitRecord(Transaction* txn, Timestamp commit_time) {
-  if (log_ == nullptr) return 0;
   LogRecord rec;
   rec.type = LogRecordType::kCommit;
   rec.txn_id = txn->id();
   rec.commit_time = commit_time;
-  return log_->Append(rec);
+  return log_->SyncTo(log_->Append(rec), config_.sync_commit);
 }
 
 void Table::StampWrites(Transaction* txn, Value outcome) {
@@ -808,7 +809,7 @@ void Table::StampWrites(Transaction* txn, Value outcome) {
 }
 
 Status Table::CommitTxn(Transaction* txn) {
-  return CommitAcrossTables(*txn_manager_, txn, {this}, group_commit_);
+  return CommitAcrossTables(*txn_manager_, txn, {this});
 }
 
 void Table::AbortTxn(Transaction* txn) {
@@ -820,8 +821,8 @@ void Table::WriteAbortRecord(Transaction* txn, bool flush) {
   LogRecord rec;
   rec.type = LogRecordType::kAbort;
   rec.txn_id = txn->id();
-  log_->Append(rec);
-  if (flush) (void)log_->Flush(config_.sync_commit);
+  uint64_t lsn = log_->Append(rec);
+  if (flush) (void)log_->SyncTo(lsn, config_.sync_commit);
 }
 
 // ---------------------------------------------------------------------------

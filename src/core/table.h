@@ -50,14 +50,14 @@ class MergeManager;
 class HistoricStore;
 class Query;
 class Table;
-class GroupCommitQueue;
+class CommitLog;
 
 // Forward declarations for the friend grants below; the public
 // surface (documentation + default arguments) lives in
 // core/commit_pipeline.h — call sites should include that header.
 Status CommitAcrossTables(TransactionManager& tm, Transaction* txn,
                           const std::vector<Table*>& tables,
-                          GroupCommitQueue* group);
+                          CommitLog* commit_log);
 void AbortAcrossTables(TransactionManager& tm, Transaction* txn,
                        const std::vector<Table*>& tables,
                        bool durable_abort);
@@ -309,10 +309,9 @@ class Table : public TxnContext {
   friend class CheckpointManager;  ///< log watermarks + truncation
   friend class Query;              ///< scan executor (core/query.cc)
   friend class Database;           ///< cross-table sessions share the ops
-  friend class GroupCommitQueue;   ///< flushes log_ on behalf of commits
   friend Status CommitAcrossTables(TransactionManager& tm, Transaction* txn,
                                    const std::vector<Table*>& tables,
-                                   GroupCommitQueue* group);
+                                   CommitLog* commit_log);
   friend void AbortAcrossTables(TransactionManager& tm, Transaction* txn,
                                 const std::vector<Table*>& tables,
                                 bool durable_abort);
@@ -343,12 +342,11 @@ class Table : public TxnContext {
 
   /// Validate this table's share of the readset at `commit_time`.
   Status ValidateReads(Transaction* txn, Timestamp commit_time);
-  /// Append + flush the commit record to this table's redo log.
+  /// Append the commit record to this table's redo log and sync it
+  /// (fsync under sync_commit), sharing the flush with concurrent
+  /// committers.
   Status WriteCommitRecord(Transaction* txn, Timestamp commit_time);
-  /// Append the commit record WITHOUT flushing — the group-commit
-  /// queue performs the (shared) flush. Returns its LSN (0 = no log).
-  uint64_t AppendCommitRecord(Transaction* txn, Timestamp commit_time);
-  /// Append an abort record; `flush` pushes it to the OS (fsync under
+  /// Append an abort record; `flush` syncs it (fsync under
   /// sync_commit). The flush matters ONLY when the durability step
   /// already appended/flushed a commit record for this transaction
   /// (per-table record whose pipeline failed later, or a commit-log
@@ -549,11 +547,6 @@ class Table : public TxnContext {
   /// The enclosing engine whose sessions are also valid here (the
   /// owning Database); set at registration, null for standalone tables.
   TxnContext* txn_scope_ = nullptr;
-
-  /// The owning database's group-commit queue: single- and cross-table
-  /// commits on this table share fsyncs through it (null for
-  /// standalone tables and in-memory databases — inline flush).
-  GroupCommitQueue* group_commit_ = nullptr;
 
   std::unique_ptr<TransactionManager> owned_txn_manager_;
   TransactionManager* txn_manager_;

@@ -103,7 +103,7 @@ uint64_t CommitLog::Append(const CommitLogRecord& rec) {
 
 Status CommitLog::Scan(
     const std::function<void(const CommitLogRecord&, uint64_t lsn)>& fn) {
-  LSTORE_RETURN_IF_ERROR(Flush(false));
+  LSTORE_RETURN_IF_ERROR(SyncTo(last_lsn(), /*fsync=*/false));
   // Concurrent appends land beyond the flushed prefix; the scan stops
   // cleanly at whatever boundary it finds.
   Status s = Replay(framed_.path(), fn);

@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -73,15 +74,22 @@ class CommitLog {
   /// Append one commit record (buffered); returns its LSN.
   uint64_t Append(const CommitLogRecord& rec);
 
-  /// Flush buffered records to the OS; fsync when `sync`. The fsync
-  /// that returns from here IS the commit point of every record
-  /// flushed by it.
-  Status Flush(bool sync) { return framed_.Flush(sync); }
+  /// Make every record up to `lsn` written (and, with `fsync`,
+  /// durable); see FramedLog::SyncTo. The sync that covers a record
+  /// IS that transaction's commit point.
+  Status SyncTo(uint64_t lsn, bool fsync) {
+    return framed_.SyncTo(lsn, fsync);
+  }
 
   uint64_t last_lsn() const { return framed_.last_lsn(); }
 
   /// Wire registry metrics (obs/metrics.h) into the framed core.
   void set_metrics(const FramedLogMetrics& m) { framed_.set_metrics(m); }
+
+  /// Checkpoint quiesce point: held shared by a cross-table commit
+  /// from its first participant sync to its commit-record append, and
+  /// exclusive by the checkpoint while it reads log watermarks.
+  std::shared_mutex& quiesce_mu() { return quiesce_mu_; }
 
   /// Deliver every well-formed record of the live log in append order
   /// (flushes the buffer first; does not fsync).
@@ -116,6 +124,7 @@ class CommitLog {
 
  private:
   FramedLog framed_;
+  std::shared_mutex quiesce_mu_;
 };
 
 }  // namespace lstore

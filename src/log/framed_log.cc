@@ -1,9 +1,11 @@
 #include "log/framed_log.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 
 #include "obs/span.h"
@@ -15,15 +17,32 @@ namespace {
 
 /// Read a whole file into `out`; false if it cannot be opened.
 bool SlurpFile(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
   char chunk[1 << 16];
-  size_t n;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    out->append(chunk, n);
+  ssize_t n;
+  while ((n = ::read(fd, chunk, sizeof(chunk))) != 0) {
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      break;
+    }
+    out->append(chunk, static_cast<size_t>(n));
   }
-  std::fclose(f);
+  ::close(fd);
   return true;
+}
+
+/// Write all of [data, data + n) to `fd`; returns the bytes written,
+/// short only on an error (errno set) or a zero-byte write.
+size_t WriteFully(int fd, const char* data, size_t n) {
+  size_t done = 0;
+  while (done < n) {
+    ssize_t w = ::write(fd, data + done, n - done);
+    if (w < 0 && errno == EINTR) continue;
+    if (w <= 0) break;
+    done += static_cast<size_t>(w);
+  }
+  return done;
 }
 
 /// fsync the directory containing `path` so a rename inside it
@@ -32,7 +51,7 @@ void SyncDirOf(const std::string& path) {
   std::string dir = path.find_last_of('/') == std::string::npos
                         ? "."
                         : path.substr(0, path.find_last_of('/'));
-  int fd = ::open(dir.c_str(), O_RDONLY);
+  int fd = ::open(dir.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd >= 0) {
     (void)::fsync(fd);
     ::close(fd);
@@ -40,6 +59,15 @@ void SyncDirOf(const std::string& path) {
 }
 
 }  // namespace
+
+void WireGroupCommitMetrics(MetricsRegistry* registry, FramedLogMetrics* m) {
+  m->queue_wait_ns = registry->GetHistogram(
+      "lstore_commit_queue_wait_ns",
+      "SyncTo wait for another thread's log flush (ns)");
+  m->batch_size = registry->GetHistogram(
+      "lstore_group_commit_batch_size",
+      "SyncTo calls per log flush (commits sharing one write/fsync)");
+}
 
 uint32_t Fnv1a32(const char* data, size_t n) {
   uint32_t h = 2166136261u;
@@ -142,11 +170,12 @@ Status FramedLog::ScanFile(const std::string& path, const Codec& codec,
 }
 
 uint64_t FramedLog::ReadBaseLsn(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return 0;
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return 0;
   char head[32];
-  size_t n = std::fread(head, 1, sizeof(head), f);
-  std::fclose(f);
+  ssize_t got = ::pread(fd, head, sizeof(head), 0);
+  ::close(fd);
+  size_t n = got > 0 ? static_cast<size_t>(got) : 0;
   size_t pos = 0;
   uint64_t len;
   if (!GetVarint64(head, n, &pos, &len) || len == 0 || len > n - pos) return 0;
@@ -164,8 +193,13 @@ uint64_t FramedLog::ReadBaseLsn(const std::string& path) {
 Status FramedLog::Open(const std::string& path, bool truncate,
                        const FrameFn& replay_fn) {
   Close();
+  FlusherRole role(this);
   path_ = path;
-  last_lsn_.store(0, std::memory_order_release);
+  active_.clear();
+  flushing_.clear();
+  error_ = Status::OK();
+  failed_.store(false, std::memory_order_release);
+  uint64_t last = 0;
   if (!truncate) {
     // Restore the LSN counter from the existing records and repair a
     // torn tail: appending after garbage would hide the new records
@@ -174,7 +208,7 @@ Status FramedLog::Open(const std::string& path, bool truncate,
     if (SlurpFile(path, &data) && !data.empty()) {
       ScanStats stats;
       ScanFrames(data, codec_, replay_fn, &stats);
-      last_lsn_.store(stats.last_lsn, std::memory_order_release);
+      last = stats.last_lsn;
       if (!stats.clean_end) {
         if (::truncate(path.c_str(),
                        static_cast<off_t>(stats.bytes_consumed)) != 0) {
@@ -183,19 +217,48 @@ Status FramedLog::Open(const std::string& path, bool truncate,
       }
     }
   }
-  file_ = std::fopen(path.c_str(), truncate ? "wb" : "ab");
-  if (file_ == nullptr) {
-    return Status::IOError("cannot open log file: " + path);
-  }
+  last_lsn_.store(last, std::memory_order_release);
+  // The records found on open are in the OS; their durability is not
+  // known, so the first fsyncing SyncTo issues a real fsync.
+  written_lsn_.store(last, std::memory_order_release);
+  synced_lsn_.store(0, std::memory_order_release);
+  fd_ = ::open(path.c_str(),
+               O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC |
+                   (truncate ? O_TRUNC : 0),
+               0644);
+  if (fd_ < 0) return Status::IOError("cannot open log file: " + path);
   return Status::OK();
 }
 
-void FramedLog::Close() {
-  if (file_ != nullptr) {
-    Flush(false);
-    std::fclose(file_);
-    file_ = nullptr;
+FramedLog::FlusherRole::FlusherRole(FramedLog* log,
+                                    const std::atomic<uint64_t>* mark,
+                                    uint64_t lsn)
+    : log_(log) {
+  auto covered = [&] {
+    return mark != nullptr && mark->load(std::memory_order_acquire) >= lsn;
+  };
+  std::unique_lock<std::mutex> f(log_->flush_mu_);
+  log_->flush_cv_.wait(f, [&] { return !log_->flusher_busy_ || covered(); });
+  if (covered()) return;
+  log_->flusher_busy_ = true;
+  held_ = true;
+}
+
+FramedLog::FlusherRole::~FlusherRole() {
+  if (!held_) return;
+  {
+    std::lock_guard<std::mutex> f(log_->flush_mu_);
+    log_->flusher_busy_ = false;
   }
+  log_->flush_cv_.notify_all();
+}
+
+void FramedLog::Close() {
+  FlusherRole role(this);
+  if (fd_ < 0) return;
+  (void)Flush(/*fsync=*/false);
+  ::close(fd_);
+  fd_ = -1;
 }
 
 uint64_t FramedLog::Append(std::string_view payload, uint64_t lsn_count) {
@@ -211,8 +274,8 @@ uint64_t FramedLog::Append(std::string_view payload, uint64_t lsn_count) {
   }
   Stage stage(sampled, "log_append");
   std::lock_guard<std::mutex> g(mu_);
-  size_t before = buffer_.size();
-  AppendFrame(&buffer_, payload);
+  size_t before = active_.size();
+  AppendFrame(&active_, payload);
   // Load+store, NOT fetch_add(n)+n: every writer holds mu_ (readers
   // are lock-free), and gcc 12 miscompiles the fetch_add form with a
   // variable operand (the xadd clobbers the addend register, yielding
@@ -220,7 +283,7 @@ uint64_t FramedLog::Append(std::string_view payload, uint64_t lsn_count) {
   uint64_t last = last_lsn_.load(std::memory_order_relaxed) + lsn_count;
   last_lsn_.store(last, std::memory_order_release);
   ++pending_appends_;
-  pending_append_bytes_ += buffer_.size() - before;
+  pending_append_bytes_ += active_.size() - before;
   if (pending_appends_ >= 64) PublishPendingLocked();
   return last;
 }
@@ -235,37 +298,67 @@ void FramedLog::PublishPendingLocked() {
   pending_append_bytes_ = 0;
 }
 
-Status FramedLog::FlushBufferLocked() {
-  if (file_ == nullptr) return Status::IOError("log not open");
-  if (!buffer_.empty()) {
-    size_t n = std::fwrite(buffer_.data(), 1, buffer_.size(), file_);
-    if (n != buffer_.size()) {
-      // Drop exactly the consumed prefix on a short write (ENOSPC):
-      // the file holds a partial frame, and a later retry must
-      // continue at the same byte — re-writing the whole buffer after
-      // the partial prefix would corrupt the log mid-file and take
-      // every LATER (acknowledged) record down with it at the next
-      // open's tail scan.
-      std::string rest(buffer_, n);
-      buffer_ = std::move(rest);
-      return Status::IOError("short log write");
-    }
-    buffer_.clear();
+Status FramedLog::SyncTo(uint64_t lsn, bool fsync) {
+  std::atomic<uint64_t>& mark = fsync ? synced_lsn_ : written_lsn_;
+  sync_calls_.fetch_add(1, std::memory_order_relaxed);
+  if (!failed_.load(std::memory_order_acquire) &&
+      mark.load(std::memory_order_acquire) >= lsn) {
+    return Status::OK();
   }
-  if (std::fflush(file_) != 0) return Status::IOError("fflush failed");
-  return Status::OK();
+  // Waiting here IS the group commit: the running flush (another
+  // thread's) may cover this caller, and otherwise the next one does.
+  Stage wait(metrics_.queue_wait_ns, "gc_queue_wait");
+  FlusherRole role(this, &mark, lsn);
+  wait.End();
+  if (failed_.load(std::memory_order_acquire)) return error_;
+  if (!role.held()) return Status::OK();  // covered by another's flush
+  return Flush(fsync);
 }
 
-Status FramedLog::Flush(bool sync) {
+Status FramedLog::Flush(bool fsync) {
+  if (fd_ < 0) return Status::IOError("log not open");
+  if (failed_.load(std::memory_order_acquire)) return error_;
+  HeartbeatWorkScope work(metrics_.flusher.get());
   Stage stage(metrics_.flush_ns, nullptr);
-  std::lock_guard<std::mutex> g(mu_);
-  PublishPendingLocked();  // flush = a snapshot-visible point
-  LSTORE_RETURN_IF_ERROR(FlushBufferLocked());
-  if (sync) {
-    if (metrics_.fsyncs != nullptr) metrics_.fsyncs->Add(1);
-    if (::fsync(::fileno(file_)) != 0) {
-      return Status::IOError("fsync failed");
+  uint64_t target;
+  {
+    std::lock_guard<std::mutex> g(mu_);
+    PublishPendingLocked();  // flush = a snapshot-visible point
+    // A short write's unwritten suffix stays in front: the file holds
+    // a partial frame, and the retry must continue at the same byte.
+    if (flushing_.empty()) {
+      flushing_.swap(active_);
+    } else {
+      flushing_.append(active_);
+      active_.clear();
     }
+    target = last_lsn_.load(std::memory_order_relaxed);
+  }
+  if (metrics_.batch_size != nullptr) {
+    uint64_t calls = sync_calls_.exchange(0, std::memory_order_relaxed);
+    if (calls > 0) metrics_.batch_size->Record(calls);
+  }
+  size_t done = WriteFully(fd_, flushing_.data(), flushing_.size());
+  if (done != flushing_.size()) {
+    // Drop exactly the written prefix (ENOSPC, EFBIG): re-writing the
+    // whole buffer after the partial prefix would corrupt the log
+    // mid-file and take every LATER (acknowledged) record down with it
+    // at the next open's tail scan.
+    flushing_.erase(0, done);
+    return Status::IOError("short log write: " + path_);
+  }
+  flushing_.clear();
+  written_lsn_.store(target, std::memory_order_release);
+  if (fsync) {
+    if (metrics_.fsyncs != nullptr) metrics_.fsyncs->Add(1);
+    if (::fsync(fd_) != 0) {
+      error_ = Status::IOError(std::string("fsync failed (log stopped): ") +
+                               std::strerror(errno) + ": " + path_);
+      failed_.store(true, std::memory_order_release);
+      if (metrics_.fsync_failures != nullptr) metrics_.fsync_failures->Add(1);
+      return error_;
+    }
+    synced_lsn_.store(target, std::memory_order_release);
   }
   return Status::OK();
 }
@@ -273,22 +366,25 @@ Status FramedLog::Flush(bool sync) {
 Status FramedLog::TruncateTo(uint64_t watermark_lsn, const SealSink& seal) {
   std::lock_guard<std::mutex> tg(truncate_mu_);
 
-  // Phase 1 (mutex, O(pending appends)): make every appended frame
-  // file-resident and snapshot the frame-aligned prefix length.
+  // Phase 1 (flusher role, O(pending appends)): make every appended
+  // frame file-resident and snapshot the frame-aligned prefix length.
   size_t snap_size = 0;
   {
-    std::lock_guard<std::mutex> g(mu_);
-    LSTORE_RETURN_IF_ERROR(FlushBufferLocked());
-    long pos = std::ftell(file_);
-    if (pos < 0) return Status::IOError("cannot size log for truncation");
-    snap_size = static_cast<size_t>(pos);
+    FlusherRole role(this);
+    LSTORE_RETURN_IF_ERROR(Flush(/*fsync=*/false));
+    struct ::stat st;
+    if (::fstat(fd_, &st) != 0) {
+      return Status::IOError("cannot size log for truncation");
+    }
+    snap_size = static_cast<size_t>(st.st_size);
   }
 
-  // Phase 2 (NO mutex — appends proceed): scan the snapshot prefix,
-  // locate the byte offset of the first frame that must survive, and
-  // write the new head (truncation point + retained bytes) to a temp
-  // file. Frames appended after phase 1 are untouched: they live in
-  // the old file beyond snap_size and are copied in phase 3.
+  // Phase 2 (no role — appends and flushes proceed): scan the snapshot
+  // prefix, locate the byte offset of the first frame that must
+  // survive, and write the new head (truncation point + retained
+  // bytes) to a temp file. Frames flushed after phase 1 are untouched:
+  // they live in the old file beyond snap_size and are copied in
+  // phase 3.
   std::string data;
   if (!SlurpFile(path_, &data)) {
     return Status::IOError("cannot read log for truncation: " + path_);
@@ -331,68 +427,66 @@ Status FramedLog::TruncateTo(uint64_t watermark_lsn, const SealSink& seal) {
   }
 
   std::string head = TruncationPointFrame(base_lsn);
+  head.append(data, cut, std::string::npos);
   std::string tmp = path_ + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) return Status::IOError("cannot open temp log: " + tmp);
-  bool write_ok =
-      std::fwrite(head.data(), 1, head.size(), out) == head.size() &&
-      (data.size() == cut ||
-       std::fwrite(data.data() + cut, 1, data.size() - cut, out) ==
-           data.size() - cut);
-  if (!write_ok) {
-    std::fclose(out);
-    std::remove(tmp.c_str());
-    return Status::IOError("short write during log truncation");
+  // The temp file's descriptor becomes the log's once renamed, so it
+  // is opened exactly like Open() opens the log.
+  int out = ::open(tmp.c_str(),
+                   O_WRONLY | O_CREAT | O_TRUNC | O_APPEND | O_CLOEXEC, 0644);
+  if (out < 0) return Status::IOError("cannot open temp log: " + tmp);
+  auto fail = [&](const char* what) {
+    ::close(out);
+    ::unlink(tmp.c_str());
+    return Status::IOError(what);
+  };
+  if (WriteFully(out, head.data(), head.size()) != head.size()) {
+    return fail("short write during log truncation");
   }
 
-  // Phase 3 (mutex, O(appends since phase 1)): drain the buffer, copy
-  // the live suffix [snap_size, EOF) byte-for-byte, and swap handles.
-  std::lock_guard<std::mutex> g(mu_);
-  Status flush = FlushBufferLocked();
+  // Phase 3 (flusher role, O(appends since phase 1)): drain the
+  // buffer, copy the live suffix [snap_size, EOF) byte-for-byte, and
+  // swap descriptors. Appends still proceed into the active buffer.
+  FlusherRole role(this);
+  Status flush = Flush(/*fsync=*/false);
   if (!flush.ok()) {
-    std::fclose(out);
-    std::remove(tmp.c_str());
+    ::close(out);
+    ::unlink(tmp.c_str());
     return flush;
   }
   {
-    std::FILE* in = std::fopen(path_.c_str(), "rb");
-    if (in == nullptr ||
-        std::fseek(in, static_cast<long>(snap_size), SEEK_SET) != 0) {
-      if (in != nullptr) std::fclose(in);
-      std::fclose(out);
-      std::remove(tmp.c_str());
-      return Status::IOError("cannot read log suffix for truncation");
-    }
+    int in = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+    if (in < 0) return fail("cannot read log suffix for truncation");
     char chunk[1 << 16];
-    size_t n;
-    while ((n = std::fread(chunk, 1, sizeof(chunk), in)) > 0) {
-      if (std::fwrite(chunk, 1, n, out) != n) {
-        std::fclose(in);
-        std::fclose(out);
-        std::remove(tmp.c_str());
-        return Status::IOError("short write during log truncation");
+    off_t off = static_cast<off_t>(snap_size);
+    ssize_t n;
+    bool copy_ok = true;
+    while ((n = ::pread(in, chunk, sizeof(chunk), off)) != 0) {
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        copy_ok = false;
+        break;
       }
+      if (WriteFully(out, chunk, static_cast<size_t>(n)) !=
+          static_cast<size_t>(n)) {
+        copy_ok = false;
+        break;
+      }
+      off += n;
     }
-    std::fclose(in);
+    ::close(in);
+    if (!copy_ok) return fail("short write during log truncation");
   }
-  write_ok = std::fflush(out) == 0 && ::fsync(::fileno(out)) == 0;
-  std::fclose(out);
-  if (!write_ok) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot sync truncated log");
-  }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot publish truncated log");
+  if (::fsync(out) != 0) return fail("cannot sync truncated log");
+  if (::rename(tmp.c_str(), path_.c_str()) != 0) {
+    return fail("cannot publish truncated log");
   }
   // Make the rename itself durable before dropping the old handle.
   SyncDirOf(path_);
-  // Re-point the handle at the new file (the old inode is unlinked).
-  std::fclose(file_);
-  file_ = std::fopen(path_.c_str(), "ab");
-  if (file_ == nullptr) {
-    return Status::IOError("cannot reopen truncated log: " + path_);
-  }
+  ::close(fd_);
+  fd_ = out;
+  // The rewritten file was fsynced whole: everything written is durable.
+  synced_lsn_.store(written_lsn_.load(std::memory_order_relaxed),
+                    std::memory_order_release);
   return Status::OK();
 }
 

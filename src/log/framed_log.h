@@ -9,14 +9,18 @@
 // varint base) restoring the numbering, so LSNs are stable across
 // truncations and archival.
 //
-// The core owns: buffered appends with short-write (ENOSPC) recovery,
-// fsync (with the injectable commit-path sync counter), open-time LSN
-// restore + torn-tail repair, the three-phase low-lock truncation, and
-// the frame scan that every reader shares. What a payload *means* is
-// the wrapper's business: the core calls a Codec to validate a record
-// payload and learn how many LSNs it carries — so RedoLog, CommitLog,
-// and the archive reader cannot diverge on framing, torn-tail, or
-// truncation behavior.
+// The core owns buffered appends, group commit, short-write (ENOSPC)
+// recovery, fail-stop on a failed fsync, open-time LSN restore +
+// torn-tail repair, the three-phase low-lock truncation, and the frame
+// scan every reader shares. What a payload *means* is the wrapper's
+// business: the core calls a Codec to validate a record payload and
+// learn how many LSNs it carries, so RedoLog, CommitLog and the archive
+// reader cannot diverge on framing, torn-tail, or truncation behavior.
+//
+// Group commit is flush pipelining on two LSN watermarks (Aether,
+// Johnson et al., VLDB 2010): appends frame into an active buffer under
+// the append mutex alone, and SyncTo is the one flush. Lock order:
+// truncate_mu_ → the flusher role → mu_.
 //
 // Truncation can archive instead of delete: TruncateTo accepts a
 // SealSink that receives the retired prefix as a self-describing
@@ -28,30 +32,47 @@
 #define LSTORE_LOG_FRAMED_LOG_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
-#include <cstdio>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 
 #include "common/status.h"
+#include "obs/health.h"
 #include "obs/metrics.h"
 
 namespace lstore {
 
 /// Registry handles a framed log records into (all optional): frames /
-/// bytes appended, commit-path fsyncs, and append/flush latencies.
-/// Wired by the owner (Table for redo logs, Database for the commit
-/// log) with per-log metric names; a default-constructed struct (all
-/// null) records nothing.
+/// bytes appended, fsyncs, append/flush latencies, and the group-commit
+/// stage. Wired by the owner (Table for redo logs, Database for the
+/// commit log) with per-log metric names, except the group-commit pair,
+/// which every log of a database shares; a default-constructed struct
+/// (all null) records nothing.
 struct FramedLogMetrics {
-  Counter* appends = nullptr;       ///< record frames appended
-  Counter* append_bytes = nullptr;  ///< framed bytes appended
-  Counter* fsyncs = nullptr;        ///< Flush(sync=true) calls
-  Histogram* append_ns = nullptr;   ///< Append latency (lock + buffer)
-  Histogram* flush_ns = nullptr;    ///< Flush latency (write [+ fsync])
+  Counter* appends = nullptr;         ///< record frames appended
+  Counter* append_bytes = nullptr;    ///< framed bytes appended
+  Counter* fsyncs = nullptr;          ///< fsyncs issued by a flush
+  Counter* fsync_failures = nullptr;  ///< failed fsyncs (log fails stop)
+  Histogram* append_ns = nullptr;     ///< Append latency (lock + buffer)
+  Histogram* flush_ns = nullptr;      ///< one flush: write [+ fsync]
+  /// SyncTo time spent waiting for another thread's flush.
+  Histogram* queue_wait_ns = nullptr;
+  /// SyncTo calls per flush: each call counts once, in the first flush
+  /// that starts after it (its mean is exactly calls per flush).
+  Histogram* batch_size = nullptr;
+  /// Marked busy by the thread doing a flush's write + fsync, so a
+  /// wedged fsync shows up as slow/stalled in Health().
+  std::shared_ptr<Heartbeat> flusher;
 };
+
+/// Point `m`'s group-commit pair at the registry-wide
+/// lstore_commit_queue_wait_ns / lstore_group_commit_batch_size
+/// histograms, which every log of one registry shares.
+void WireGroupCommitMetrics(MetricsRegistry* registry, FramedLogMetrics* m);
 
 /// FNV-1a 32-bit checksum over a byte range (per-frame checksums).
 uint32_t Fnv1a32(const char* data, size_t n);
@@ -116,19 +137,37 @@ class FramedLog {
   Status Open(const std::string& path, bool truncate,
               const FrameFn& replay_fn = nullptr);
   void Close();
-  bool is_open() const { return file_ != nullptr; }
+  bool is_open() const { return fd_ >= 0; }
   const std::string& path() const { return path_; }
 
   /// Append one framed payload carrying `lsn_count` LSNs (buffered).
   /// Returns the last LSN it received (0 when lsn_count == 0).
   uint64_t Append(std::string_view payload, uint64_t lsn_count);
 
-  /// Flush buffered frames to the OS; fsync when `sync`.
-  Status Flush(bool sync);
+  /// Make every record up to `lsn` written to the OS and, with
+  /// `fsync`, durable. Returns at once when `written_lsn` (or
+  /// `synced_lsn`) covers `lsn`; otherwise waits until the running
+  /// flush covers it or no flush runs, then becomes the flusher: swap
+  /// the buffers under mu_, write (+ fsync) the swapped one with no
+  /// lock held, advance the watermark. Callers arriving during a flush
+  /// share the next one: no leader, no queue, no timed window. A short
+  /// write (ENOSPC) keeps the unwritten suffix for the next flush. A
+  /// failed fsync fails the log stop: this and every later SyncTo
+  /// return the same IOError, since the kernel may already have
+  /// dropped the dirty pages a retry would claim to sync.
+  Status SyncTo(uint64_t lsn, bool fsync);
 
   /// LSN of the most recently appended record (0 = empty log).
   uint64_t last_lsn() const {
     return last_lsn_.load(std::memory_order_acquire);
+  }
+  /// Every record up to this LSN has been written to the OS.
+  uint64_t written_lsn() const {
+    return written_lsn_.load(std::memory_order_acquire);
+  }
+  /// Every record up to this LSN has been fsynced by this handle.
+  uint64_t synced_lsn() const {
+    return synced_lsn_.load(std::memory_order_acquire);
   }
 
   /// Wire registry metrics (obs/metrics.h). Must be called before the
@@ -137,12 +176,12 @@ class FramedLog {
 
   /// Drop every record with LSN <= watermark: the retained tail is
   /// rewritten behind a truncation-point record via temp file + atomic
-  /// rename + directory fsync. The bulk of the work (scanning the
-  /// prefix, writing the retained tail) runs WITHOUT the log mutex, so
-  /// concurrent appends are stalled only for the
-  /// O(appends-since-scan) handle swap. A batch frame straddling the
-  /// watermark is retained whole; the truncation point's LSN base
-  /// backs up accordingly so numbering stays stable.
+  /// rename + directory fsync. Appends never wait for it; the bulk of
+  /// the work (scanning the prefix, writing the retained tail) runs
+  /// without the flusher role too, so SyncTo callers wait only for the
+  /// O(appends-since-scan) suffix copy and handle swap. A batch frame
+  /// straddling the watermark is retained whole; the truncation
+  /// point's LSN base backs up accordingly so numbering stays stable.
   ///
   /// With a `seal` sink, the retired prefix is handed over (durably)
   /// BEFORE the truncated log is published — archival turns the
@@ -173,8 +212,28 @@ class FramedLog {
   static uint64_t ReadBaseLsn(const std::string& path);
 
  private:
-  /// Flush `buffer_` into `file_` (caller holds mu_).
-  Status FlushBufferLocked();
+  /// Swap the active buffer out and write it (+ fsync) to fd_, then
+  /// advance the watermarks (caller holds the flusher role).
+  Status Flush(bool fsync);
+
+  /// RAII: waits for and holds the flusher role. With `mark`, stops
+  /// waiting as soon as *mark reaches `lsn` and then holds nothing, so
+  /// a caller covered by the flush that just ended never queues behind
+  /// the next one (as it would on a mutex held across the flush).
+  class FlusherRole {
+   public:
+    explicit FlusherRole(FramedLog* log,
+                         const std::atomic<uint64_t>* mark = nullptr,
+                         uint64_t lsn = 0);
+    ~FlusherRole();
+    FlusherRole(const FlusherRole&) = delete;
+    FlusherRole& operator=(const FlusherRole&) = delete;
+    bool held() const { return held_; }
+
+   private:
+    FramedLog* const log_;
+    bool held_ = false;
+  };
 
   /// Push the accumulated append/byte tallies to the registry
   /// counters (caller holds mu_). Appends tally into plain members on
@@ -184,15 +243,28 @@ class FramedLog {
   void PublishPendingLocked();
 
   Codec codec_;
-  std::FILE* file_ = nullptr;
   std::string path_;
-  std::mutex mu_;
-  /// Serializes whole truncations against each other (mu_ still
-  /// protects every file_/buffer_ touch). Ordering: truncate_mu_
-  /// before mu_.
+  /// Serializes whole truncations against each other.
   std::mutex truncate_mu_;
-  std::string buffer_;
+  /// Guards flusher_busy_; flush_cv_ signals each change of it.
+  std::mutex flush_mu_;
+  std::condition_variable flush_cv_;
+  /// One thread holds the flusher role; only it touches fd_ and
+  /// flushing_.
+  bool flusher_busy_ = false;
+  /// The append mutex: guards active_ and the LSN counter's writers.
+  std::mutex mu_;
+  int fd_ = -1;
+  std::string active_;    ///< frames appended since the last swap
+  std::string flushing_;  ///< swapped out; holds a short write's suffix
+  /// Sticky fsync failure (fail-stop): written once, before failed_ is
+  /// set; read only after failed_ is seen set.
+  Status error_;
+  std::atomic<bool> failed_{false};
   std::atomic<uint64_t> last_lsn_{0};
+  std::atomic<uint64_t> written_lsn_{0};
+  std::atomic<uint64_t> synced_lsn_{0};
+  std::atomic<uint64_t> sync_calls_{0};  ///< since the last swap
   FramedLogMetrics metrics_;
   uint64_t pending_appends_ = 0;      ///< under mu_, batched to metrics_
   uint64_t pending_append_bytes_ = 0; ///< under mu_, batched to metrics_

@@ -57,7 +57,8 @@ struct LogRecord {
 };
 
 /// Append-only log writer with group commit: appends accumulate in a
-/// buffer and are flushed together when a commit record arrives.
+/// buffer, and one flush makes every concurrent committer's records
+/// durable (FramedLog::SyncTo).
 class RedoLog {
  public:
   using ReplayStats = FramedLog::ScanStats;
@@ -106,8 +107,11 @@ class RedoLog {
   /// LSN of the most recently appended record (0 = empty log).
   uint64_t last_lsn() const { return framed_.last_lsn(); }
 
-  /// Flush buffered records to the OS; fsync when `sync`.
-  Status Flush(bool sync) { return framed_.Flush(sync); }
+  /// Make every record up to `lsn` written (and, with `fsync`,
+  /// durable); see FramedLog::SyncTo.
+  Status SyncTo(uint64_t lsn, bool fsync) {
+    return framed_.SyncTo(lsn, fsync);
+  }
 
   /// Wire registry metrics (obs/metrics.h) into the framed core.
   void set_metrics(const FramedLogMetrics& m) { framed_.set_metrics(m); }

@@ -4,10 +4,9 @@
 // health report surfaced through Database::Health() / the HEALTH wire
 // op / `lstore_cli status`.
 //
-// Model: each background loop (merge threads, the checkpointer, the
-// group-commit leader, the stats reporter, server workers,
-// per-connection readers) registers a named Heartbeat and brackets
-// its work:
+// Model: each background loop (merge threads, the checkpointer, log
+// flushers, the stats reporter, server workers, per-connection
+// readers) registers a named Heartbeat and brackets its work:
 //
 //   auto hb = registry->Register("merge:orders");
 //   ...

@@ -5,8 +5,8 @@
 // A trace id is minted once at the request's origin (client stamping a
 // wire frame, or the harness wrapping an in-process op), travels with
 // the request across threads (wire header field → server Request →
-// worker thread-local → group-commit Request), and tags every span the
-// request touches. Propagation inside a thread is a thread-local:
+// worker thread-local), and tags every span the request touches.
+// Propagation inside a thread is a thread-local:
 //
 //   TraceContext::Scope scope(trace_id);   // set for this stage
 //   ...                                     // anything called here
@@ -21,8 +21,8 @@
 //   Stage s(hist, nullptr);  ...;  uint64_t ns = s.End();  // early close
 //
 // Windows that open on one thread and close on another (a server
-// request's queue wait, a batch leader acting for its followers) stamp
-// NowNanos() by hand and close with RecordSpan.
+// request's queue wait) stamp NowNanos() by hand and close with
+// RecordSpan.
 //
 // All of it compiles out under LSTORE_TRACING=OFF: Current() returns 0,
 // Scope and Stage are empty, RecordSpan is a no-op — call sites need no
@@ -116,10 +116,6 @@ class Stage {
   /// with nothing to merge) and must not dilute the distribution.
   void Cancel() { closed_ = true; }
 
-  /// Clock reading at entry (0 when untimed), for spans a batch leader
-  /// records on other requests' behalf over the same window.
-  uint64_t t0_ns() const { return t0_ns_; }
-
  private:
   Histogram* const hist_;
   const char* const span_;
@@ -152,7 +148,6 @@ class Stage {
   Stage& operator=(const Stage&) = delete;
   uint64_t End() { return 0; }
   void Cancel() {}
-  uint64_t t0_ns() const { return 0; }
 };
 
 #endif  // LSTORE_TRACE_ENABLED

@@ -119,9 +119,6 @@ class TailSegment {
 
   uint32_t num_data_columns() const { return num_data_columns_; }
   uint32_t page_slots() const { return page_slots_; }
-  uint32_t num_physical_columns() const {
-    return kTailMetaColumns + num_data_columns_;
-  }
 
   size_t allocated_pages() const;
 

@@ -509,7 +509,7 @@ TEST_F(ArchiveTest, SealSinkFailureLeavesLogIntact) {
     rec.commit_time = 10 + i;
     log.Append(rec);
   }
-  ASSERT_TRUE(log.Flush(false).ok());
+  ASSERT_TRUE(log.SyncTo(log.last_lsn(), false).ok());
 
   // A failing sink aborts the truncation before anything is dropped.
   Status s = log.TruncateTo(5, [](uint64_t, uint64_t, std::string_view) {

@@ -70,7 +70,7 @@ TEST_F(CheckpointTest, LogAssignsLsnsAndTruncates) {
       rec.commit_time = 10 + i;
       EXPECT_EQ(log.Append(rec), static_cast<uint64_t>(i + 1));
     }
-    ASSERT_TRUE(log.Flush(false).ok());
+    ASSERT_TRUE(log.SyncTo(log.last_lsn(), false).ok());
     EXPECT_EQ(log.last_lsn(), 6u);
     ASSERT_TRUE(log.TruncateTo(4).ok());
     // LSNs continue across the truncation.
@@ -78,7 +78,7 @@ TEST_F(CheckpointTest, LogAssignsLsnsAndTruncates) {
     rec.type = LogRecordType::kAbort;
     rec.txn_id = kTxnIdTag | 99;
     EXPECT_EQ(log.Append(rec), 7u);
-    ASSERT_TRUE(log.Flush(false).ok());
+    ASSERT_TRUE(log.SyncTo(log.last_lsn(), false).ok());
   }
   std::vector<uint64_t> lsns;
   RedoLog::ReplayStats stats;
@@ -106,7 +106,7 @@ TEST_F(CheckpointTest, LogOpenRestoresLsnAndRepairsTornTail) {
       rec.commit_time = 10 + i;
       log.Append(rec);
     }
-    ASSERT_TRUE(log.Flush(false).ok());
+    ASSERT_TRUE(log.SyncTo(log.last_lsn(), false).ok());
   }
   // Crash mid-write: chop the final frame.
   ASSERT_EQ(0, ::truncate(path.c_str(), LogFileBytes(path) - 2));
@@ -118,7 +118,7 @@ TEST_F(CheckpointTest, LogOpenRestoresLsnAndRepairsTornTail) {
     rec.type = LogRecordType::kAbort;
     rec.txn_id = kTxnIdTag | 50;
     EXPECT_EQ(log.Append(rec), 3u);
-    ASSERT_TRUE(log.Flush(false).ok());
+    ASSERT_TRUE(log.SyncTo(log.last_lsn(), false).ok());
   }
   // The repaired log replays cleanly: 2 old records + the new one.
   int count = 0;

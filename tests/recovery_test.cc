@@ -69,7 +69,7 @@ TEST(RedoLogTest, ReplayStopsAtTornTail) {
       rec.commit_time = 100 + i;
       log.Append(rec);
     }
-    ASSERT_TRUE(log.Flush(false).ok());
+    ASSERT_TRUE(log.SyncTo(log.last_lsn(), false).ok());
   }
   // Truncate mid-frame to simulate a crash during a write.
   {
@@ -96,7 +96,7 @@ TEST(RedoLogTest, ReplayStopsAtCorruptChecksum) {
       rec.txn_id = kTxnIdTag | (7 + i);
       log.Append(rec);
     }
-    ASSERT_TRUE(log.Flush(false).ok());
+    ASSERT_TRUE(log.SyncTo(log.last_lsn(), false).ok());
   }
   {
     // Flip a byte in the middle of the file (second record's payload).
@@ -305,7 +305,7 @@ TEST(RecoveryOutcomeTest, AbortRecordAfterCommitRecordWins) {
     abort.type = LogRecordType::kAbort;
     abort.txn_id = txn_id;
     log.Append(abort);
-    ASSERT_TRUE(log.Flush(true).ok());
+    ASSERT_TRUE(log.SyncTo(log.last_lsn(), true).ok());
   }
   Table table("t", Schema(3), LogConfig(path));
   ASSERT_TRUE(table.RecoverFromLog().ok());
@@ -336,7 +336,7 @@ TEST(RedoLogTruncateTest, CommitsConcurrentWithTruncation) {
       rec.txn_id = kTxnIdTag | (appended.load() + 1);
       rec.commit_time = appended.load() + 1;
       log.Append(rec);
-      ASSERT_TRUE(log.Flush(false).ok());
+      ASSERT_TRUE(log.SyncTo(log.last_lsn(), false).ok());
       appended.fetch_add(1);
     }
   });
@@ -352,7 +352,7 @@ TEST(RedoLogTruncateTest, CommitsConcurrentWithTruncation) {
   }
   stop = true;
   committer.join();
-  ASSERT_TRUE(log.Flush(false).ok());
+  ASSERT_TRUE(log.SyncTo(log.last_lsn(), false).ok());
   uint64_t total = appended.load();
   log.Close();
 
@@ -398,7 +398,7 @@ TEST(RedoLogTruncateTest, BatchFrameStraddlingWatermarkKeepsLsns) {
     batch.push_back(rec);
   }
   EXPECT_EQ(log.AppendBatch(batch), 10u);
-  ASSERT_TRUE(log.Flush(false).ok());
+  ASSERT_TRUE(log.SyncTo(log.last_lsn(), false).ok());
   // Watermark falls INSIDE the batch: the whole frame must survive.
   ASSERT_TRUE(log.TruncateTo(5).ok());
   log.Close();
